@@ -187,7 +187,7 @@ def cmd_rank(config: RunConfig, args) -> int:
     data = _load_features(args.features)
     pipeline = config.pipelines[0]
     units = list(DIMENSIONS) if args.by == "dimension" else None
-    importance = loco_all(data, pipeline, units=units, jobs=args.jobs)
+    importance = loco_all(data, pipeline, units=units)
     out.mkdir(parents=True, exist_ok=True)
     importance.to_csv(out / f"loco_{args.by}.csv")
     clusters_doc = [list(cluster) for cluster in importance.ranking.clusters]
@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker parallelism")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="concurrent detail fetches (crawl)")
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("crawl", help="fetch changes from the Gerrit server")

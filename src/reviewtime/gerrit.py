@@ -307,14 +307,6 @@ class GerritClient:
             offset += len(page)
 
 
-def fetch_change_page(config: CrawlConfig, start_offset: int) -> tuple[list[RawChange], bool]:
-    return GerritClient(config).fetch_change_page(start_offset)
-
-
-def fetch_change_detail(config: CrawlConfig, change_number: int) -> RawChange:
-    return GerritClient(config).fetch_change_detail(change_number)
-
-
 def _first_revision(doc: dict) -> dict | None:
     revisions = doc.get("revisions") or {}
     best = None

@@ -9,14 +9,13 @@ covariate, not selection variance.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnknownUnitError
+from .errors import ReviewTimeError, UnknownUnitError
 from .evaluation import EvalResult, PipelineConfig, run_online_validation
 from .features import DIMENSIONS, FeatureMatrix, dimension_features
 from .stats import ComparisonResult, EsdRanking, compare_pairwise, scott_knott_esd
@@ -66,6 +65,13 @@ def _no_selection(config: PipelineConfig) -> PipelineConfig:
 
 
 def _successful_mae(result: EvalResult) -> np.ndarray:
+    """Per-(repeat, iteration) MAE of a run in which no iteration failed."""
+    failed = [r for r in result.records if r.failed]
+    if failed:
+        keys = [(r.repeat, r.iteration) for r in failed]
+        raise ReviewTimeError(
+            f"{result.algorithm}: iterations failed at (repeat, iteration) "
+            f"{keys}; first error: {failed[0].error}")
     return np.array([r.mae for r in result.records])
 
 
@@ -82,29 +88,16 @@ def loco_importance(data: FeatureMatrix, config: PipelineConfig,
 
 
 def loco_all(data: FeatureMatrix, config: PipelineConfig,
-             units: Sequence[str] | None = None, jobs: int = 1) -> ImportanceResult:
-    """LOCO deltas for every unit, ranked by the ESD procedure.
-
-    Per-unit runs are independent; ``jobs`` bounds how many execute
-    concurrently.  Results are keyed by unit, so scheduling never affects
-    the outcome.
-    """
+             units: Sequence[str] | None = None) -> ImportanceResult:
+    """LOCO deltas for every unit, ranked by the ESD procedure."""
     if units is None:
         units = list(data.feature_names)
     config = _no_selection(config)
     full_result = run_online_validation(data, config)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            computed = pool.map(
-                lambda unit: loco_importance(data, config, unit,
-                                             full_result=full_result),
-                units)
-            deltas = dict(zip(units, computed))
-    else:
-        deltas = {
-            unit: loco_importance(data, config, unit, full_result=full_result)
-            for unit in units
-        }
+    deltas = {
+        unit: loco_importance(data, config, unit, full_result=full_result)
+        for unit in units
+    }
     return ImportanceResult(
         unit_deltas=deltas,
         ranking=rank_features(deltas),

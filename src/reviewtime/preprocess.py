@@ -41,12 +41,6 @@ class SelectionResult:
         if not self.selected:
             raise ValueError("selection must keep at least one feature")
 
-    def to_json(self) -> dict:
-        return {
-            "selected": list(self.selected),
-            "scores": [{"n_features": n, "validation_mae": m} for n, m in self.scores],
-        }
-
 
 def fit_normalizer(kind: NormalizerKind, X: np.ndarray) -> NormalizerSpec:
     if X.shape[0] == 0:

@@ -6,6 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import ensemble, linear, mlp, neighbors, tree
 from .base import (
     ALGORITHM_PARAMS,
     DEFAULT_GRIDS,
@@ -17,24 +18,36 @@ from .base import (
     is_deterministic,
     supports_importance,
 )
-from .ensemble import fit_adaboost, fit_gradient_boosting, fit_random_forest
-from .linear import fit_bayesian_ridge, fit_lasso, fit_linear, fit_ridge
-from .mlp import fit_mlp
-from .neighbors import fit_knn, fit_svr
-from .tree import RegressionTree, fit_decision_tree
+from .tree import RegressionTree
 
+# fitter(spec, X, y) -> plain state dict
 _FITTERS = {
-    Algorithm.LR: fit_linear,
-    Algorithm.LaR: fit_lasso,
-    Algorithm.RR: fit_ridge,
-    Algorithm.BLaR: fit_bayesian_ridge,
-    Algorithm.SVM: fit_svr,
-    Algorithm.KNN: fit_knn,
-    Algorithm.DT: fit_decision_tree,
-    Algorithm.NN: fit_mlp,
-    Algorithm.RF: fit_random_forest,
-    Algorithm.AdaDT: fit_adaboost,
-    Algorithm.GB: fit_gradient_boosting,
+    Algorithm.LR: linear.fit_linear,
+    Algorithm.LaR: linear.fit_lasso,
+    Algorithm.RR: linear.fit_ridge,
+    Algorithm.BLaR: linear.fit_bayesian_ridge,
+    Algorithm.SVM: neighbors.fit_svr,
+    Algorithm.KNN: neighbors.fit_knn,
+    Algorithm.DT: tree.fit_decision_tree,
+    Algorithm.NN: mlp.fit_mlp,
+    Algorithm.RF: ensemble.fit_random_forest,
+    Algorithm.AdaDT: ensemble.fit_adaboost,
+    Algorithm.GB: ensemble.fit_gradient_boosting,
+}
+
+# predictor(state, X) -> unclipped predictions; TrainedModel.predict dispatches here
+_PREDICTORS = {
+    Algorithm.LR: linear.predict_linear,
+    Algorithm.LaR: linear.predict_linear,
+    Algorithm.RR: linear.predict_linear,
+    Algorithm.BLaR: linear.predict_linear,
+    Algorithm.SVM: neighbors.predict_svr,
+    Algorithm.KNN: neighbors.predict_knn,
+    Algorithm.DT: tree.predict_decision_tree,
+    Algorithm.NN: mlp.predict_mlp,
+    Algorithm.RF: ensemble.predict_random_forest,
+    Algorithm.AdaDT: ensemble.predict_adaboost,
+    Algorithm.GB: ensemble.predict_gradient_boosting,
 }
 
 
@@ -43,11 +56,8 @@ def fit(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
     X = np.asarray(X, dtype=float)
     if feature_names is None:
         feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
-    return _FITTERS[Algorithm(spec.algorithm)](spec, X, y, tuple(feature_names))
-
-
-def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    return model.predict(X)
+    return TrainedModel(spec, feature_names,
+                        _FITTERS[Algorithm(spec.algorithm)](spec, X, y))
 
 
 __all__ = [
@@ -61,6 +71,5 @@ __all__ = [
     "fit",
     "grid_search",
     "is_deterministic",
-    "predict",
     "supports_importance",
 ]

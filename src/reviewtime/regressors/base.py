@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -129,28 +129,31 @@ class HyperGrid:
 
 
 class TrainedModel:
-    """A fitted predictor with the feature ordering used at fit time."""
+    """A fitted predictor with the feature ordering used at fit time.
+
+    ``state`` is the plain fitted state its algorithm's predictor reads; the
+    optional ``importance`` and ``flags`` entries are exposed as attributes.
+    """
 
     def __init__(self, spec: RegressorSpec, feature_names: Sequence[str],
-                 predict_raw: Callable[[np.ndarray], np.ndarray],
-                 importance: np.ndarray | None = None,
-                 flags: tuple[str, ...] = (),
-                 state: Mapping | None = None):
+                 state: Mapping):
         self.spec = spec
         self.feature_names = tuple(feature_names)
-        self._predict_raw = predict_raw
-        self.importance = importance
-        self.flags = flags
-        self.state = dict(state or {})
+        self.state = dict(state)
+        self.importance: np.ndarray | None = self.state.get("importance")
+        self.flags: tuple[str, ...] = tuple(self.state.get("flags", ()))
 
     def predict(self, X: np.ndarray, clip: bool = True) -> np.ndarray:
+        from . import _PREDICTORS
+
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise FeatureMismatchError(
                 f"expected {len(self.feature_names)} features, got "
                 f"{X.shape[1] if X.ndim == 2 else 'non-matrix input'}"
             )
-        pred = np.asarray(self._predict_raw(X), dtype=float)
+        pred = np.asarray(_PREDICTORS[self.spec.algorithm](self.state, X),
+                          dtype=float)
         if clip:
             pred = np.maximum(pred, 0.0)
         return pred

@@ -6,12 +6,11 @@ import math
 
 import numpy as np
 
-from .base import RegressorSpec, TrainedModel, check_training_inputs
+from .base import RegressorSpec, check_training_inputs
 from .tree import RegressionTree
 
 
-def fit_random_forest(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
-                      feature_names) -> TrainedModel:
+def fit_random_forest(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """Bootstrap-aggregated trees with ceil(p/3) candidate features per split."""
     X, y = check_training_inputs(X, y)
     n, p = X.shape
@@ -32,20 +31,19 @@ def fit_random_forest(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
         if total > 0:
             importances += tree.importances_ / total
 
-    def predict_raw(Q: np.ndarray) -> np.ndarray:
-        preds = np.zeros(Q.shape[0])
-        for tree in trees:
-            preds += tree.predict(Q)
-        return preds / len(trees)
-
     total = importances.sum()
     importance = importances / total if total > 0 else importances
-    return TrainedModel(spec, feature_names, predict_raw,
-                        importance=importance, state={"trees": trees})
+    return {"trees": trees, "importance": importance}
 
 
-def fit_adaboost(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
-                 feature_names) -> TrainedModel:
+def predict_random_forest(state: dict, Q: np.ndarray) -> np.ndarray:
+    preds = np.zeros(Q.shape[0])
+    for tree in state["trees"]:
+        preds += tree.predict(Q)
+    return preds / len(state["trees"])
+
+
+def fit_adaboost(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """AdaBoost.R2 with linear loss over shallow trees.
 
     Each round trains on a weight-proportional bootstrap resample; rounds
@@ -84,18 +82,6 @@ def fit_adaboost(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
 
     member_weights = np.asarray(log_inv_betas)
 
-    def predict_raw(Q: np.ndarray) -> np.ndarray:
-        preds = np.column_stack([tree.predict(Q) for tree in trees])
-        if preds.shape[1] == 1:
-            return preds[:, 0]
-        order = np.argsort(preds, axis=1)
-        sorted_weights = member_weights[order]
-        cdf = np.cumsum(sorted_weights, axis=1)
-        half = 0.5 * cdf[:, -1]
-        pick = (cdf >= half[:, None]).argmax(axis=1)
-        rows = np.arange(Q.shape[0])
-        return preds[rows, order[rows, pick]]
-
     importances = np.zeros(X.shape[1])
     for tree, w in zip(trees, member_weights):
         total = tree.importances_.sum()
@@ -103,13 +89,23 @@ def fit_adaboost(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
             importances += w * tree.importances_ / total
     total = importances.sum()
     importance = importances / total if total > 0 else importances
-    return TrainedModel(spec, feature_names, predict_raw,
-                        importance=importance,
-                        state={"trees": trees, "weights": member_weights})
+    return {"trees": trees, "weights": member_weights, "importance": importance}
 
 
-def fit_gradient_boosting(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
-                          feature_names) -> TrainedModel:
+def predict_adaboost(state: dict, Q: np.ndarray) -> np.ndarray:
+    """Weighted median of the member predictions."""
+    preds = np.column_stack([tree.predict(Q) for tree in state["trees"]])
+    if preds.shape[1] == 1:
+        return preds[:, 0]
+    order = np.argsort(preds, axis=1)
+    cdf = np.cumsum(state["weights"][order], axis=1)
+    half = 0.5 * cdf[:, -1]
+    pick = (cdf >= half[:, None]).argmax(axis=1)
+    rows = np.arange(Q.shape[0])
+    return preds[rows, order[rows, pick]]
+
+
+def fit_gradient_boosting(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """Squared-loss gradient boosting over depth-limited trees.
 
     Starts from the target mean; each round fits a tree to the current
@@ -130,19 +126,17 @@ def fit_gradient_boosting(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
         trees.append(tree)
         train_curve.append(float(np.mean((y - current) ** 2)))
 
-    def predict_raw(Q: np.ndarray) -> np.ndarray:
-        preds = np.full(Q.shape[0], base)
-        for tree in trees:
-            preds += learning_rate * tree.predict(Q)
-        return preds
-
     importances = np.zeros(X.shape[1])
     for tree in trees:
         importances += tree.importances_
     total = importances.sum()
     importance = importances / total if total > 0 else importances
-    return TrainedModel(spec, feature_names, predict_raw,
-                        importance=importance,
-                        state={"trees": trees, "base": base,
-                               "learning_rate": learning_rate,
-                               "train_mse_curve": train_curve})
+    return {"trees": trees, "base": base, "learning_rate": learning_rate,
+            "train_mse_curve": train_curve, "importance": importance}
+
+
+def predict_gradient_boosting(state: dict, Q: np.ndarray) -> np.ndarray:
+    preds = np.full(Q.shape[0], state["base"])
+    for tree in state["trees"]:
+        preds += state["learning_rate"] * tree.predict(Q)
+    return preds

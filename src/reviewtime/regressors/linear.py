@@ -8,27 +8,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import RegressorSpec, TrainedModel, check_training_inputs
+from .base import RegressorSpec, check_training_inputs
 
 LASSO_TOL = 1e-7
 LASSO_MAX_SWEEPS = 10_000
 BLAR_TOL = 1e-6
 
 
-def _linear_model(spec: RegressorSpec, feature_names, coef: np.ndarray,
-                  intercept: float, flags: tuple[str, ...] = ()) -> TrainedModel:
-    def predict_raw(X: np.ndarray) -> np.ndarray:
-        return X @ coef + intercept
-
-    return TrainedModel(
-        spec, feature_names, predict_raw,
-        importance=np.abs(coef), flags=flags,
-        state={"coef": coef, "intercept": intercept},
-    )
+def _linear_state(coef: np.ndarray, intercept: float,
+                  flags: tuple[str, ...] = ()) -> dict:
+    return {"coef": coef, "intercept": intercept,
+            "importance": np.abs(coef), "flags": flags}
 
 
-def fit_linear(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
-               feature_names) -> TrainedModel:
+def predict_linear(state: dict, X: np.ndarray) -> np.ndarray:
+    return X @ state["coef"] + state["intercept"]
+
+
+def fit_linear(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """Ordinary least squares via the normal equations.
 
     A rank-deficient design falls back to a ridge solve with lambda = 1e-8
@@ -51,11 +48,10 @@ def fit_linear(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
         coef = np.linalg.solve(gram + 1e-8 * np.eye(gram.shape[0]), rhs)
         flags = ("singular_fallback",)
     intercept = float(ym - xm @ coef)
-    return _linear_model(spec, feature_names, coef, intercept, flags)
+    return _linear_state(coef, intercept, flags)
 
 
-def fit_ridge(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
-              feature_names) -> TrainedModel:
+def fit_ridge(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """Ridge regression; the penalty excludes the intercept (centered solve)."""
     X, y = check_training_inputs(X, y)
     alpha = float(spec.hyperparameters["alpha"])
@@ -64,11 +60,10 @@ def fit_ridge(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
     xc = X - xm
     coef = np.linalg.solve(xc.T @ xc + alpha * np.eye(X.shape[1]), xc.T @ (y - ym))
     intercept = float(ym - xm @ coef)
-    return _linear_model(spec, feature_names, coef, intercept)
+    return _linear_state(coef, intercept)
 
 
-def fit_lasso(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
-              feature_names) -> TrainedModel:
+def fit_lasso(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """L1-penalized least squares by cyclic coordinate descent.
 
     Objective: (1/2n)||y - Xb - c||^2 + alpha * ||b||_1 with soft-threshold
@@ -103,11 +98,10 @@ def fit_lasso(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
     else:
         flags = ("non_convergence",)
     intercept = float(ym - xm @ coef)
-    return _linear_model(spec, feature_names, coef, intercept, flags)
+    return _linear_state(coef, intercept, flags)
 
 
-def fit_bayesian_ridge(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
-                       feature_names) -> TrainedModel:
+def fit_bayesian_ridge(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """Evidence-approximation Bayesian ridge.
 
     Iteratively re-estimates the noise precision and the shared weight-prior
@@ -145,4 +139,4 @@ def fit_bayesian_ridge(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
     if not converged:
         flags = ("non_convergence",)
     intercept = float(ym - xm @ coef)
-    return _linear_model(spec, feature_names, coef, intercept, flags)
+    return _linear_state(coef, intercept, flags)

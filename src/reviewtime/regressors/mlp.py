@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import RegressorSpec, TrainedModel, check_training_inputs
+from .base import RegressorSpec, check_training_inputs
 
 
 def init_params(p: int, hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -16,7 +16,7 @@ def init_params(p: int, hidden: int, rng: np.random.Generator) -> dict[str, np.n
     }
 
 
-def forward(params: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
+def predict_mlp(params: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
     hidden = np.maximum(X @ params["W1"] + params["b1"], 0.0)
     return (hidden @ params["W2"] + params["b2"])[:, 0]
 
@@ -41,8 +41,8 @@ def loss_and_gradients(params: dict[str, np.ndarray], X: np.ndarray,
     return loss, grads
 
 
-def fit_mlp(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
-            feature_names) -> TrainedModel:
+def fit_mlp(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
+    """The state is the network's parameters: W1, b1, W2 and b2."""
     X, y = check_training_inputs(X, y)
     hidden_units = int(spec.hyperparameters["hidden_units"])
     epochs = int(spec.hyperparameters["epochs"])
@@ -58,8 +58,4 @@ def fit_mlp(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
             _, grads = loss_and_gradients(params, X[batch], y[batch])
             for key in params:
                 params[key] = params[key] - learning_rate * grads[key]
-
-    def predict_raw(Q: np.ndarray) -> np.ndarray:
-        return forward(params, Q)
-
-    return TrainedModel(spec, feature_names, predict_raw, state={"params": params})
+    return params

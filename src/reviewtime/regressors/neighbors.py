@@ -4,35 +4,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import RegressorSpec, TrainedModel, check_training_inputs
+from .base import RegressorSpec, check_training_inputs
 
 
-def fit_knn(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
-            feature_names) -> TrainedModel:
-    """Brute-force Euclidean kNN; uniform mean of the k nearest targets.
-
-    Distance ties are broken by training-row index, so predictions are
-    independent of any floating-point sort instability.
-    """
+def fit_knn(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
+    """Brute-force Euclidean kNN; uniform mean of the k nearest targets."""
     X, y = check_training_inputs(X, y)
     k = min(int(spec.hyperparameters["k"]), X.shape[0])
-    train_X = X.copy()
-    train_y = y.copy()
-
-    def predict_raw(Q: np.ndarray) -> np.ndarray:
-        d2 = ((Q[:, None, :] - train_X[None, :, :]) ** 2).sum(axis=2)
-        out = np.empty(Q.shape[0])
-        for i in range(Q.shape[0]):
-            order = np.lexsort((np.arange(train_X.shape[0]), d2[i]))
-            out[i] = train_y[order[:k]].mean()
-        return out
-
-    return TrainedModel(spec, feature_names, predict_raw,
-                        state={"k": k, "train_X": train_X, "train_y": train_y})
+    return {"k": k, "train_X": X.copy(), "train_y": y.copy()}
 
 
-def fit_svr(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
-            feature_names) -> TrainedModel:
+def predict_knn(state: dict, Q: np.ndarray) -> np.ndarray:
+    """Uniform mean of the k nearest training targets.
+
+    Distance ties go to the lower training-row index (a stable sort), so
+    predictions do not depend on floating-point sort instability.
+    """
+    d2 = ((Q[:, None, :] - state["train_X"][None, :, :]) ** 2).sum(axis=2)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, :state["k"]]
+    return state["train_y"][nearest].mean(axis=1)
+
+
+def fit_svr(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """Linear epsilon-insensitive SVR by averaged full-batch subgradient descent.
 
     Targets are standardized internally so the epsilon tube and the C grid
@@ -72,11 +65,9 @@ def fit_svr(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
     w = w_sum / averaged
     b = b_sum / averaged
 
-    def predict_raw(Q: np.ndarray) -> np.ndarray:
-        return (Q @ w + b) * y_std + y_mean
+    return {"w": w, "b": b, "y_std": y_std, "y_mean": y_mean,
+            "importance": np.abs(w)}
 
-    return TrainedModel(spec, feature_names, predict_raw,
-                        importance=np.abs(w),
-                        state={"coef": w * y_std,
-                               "intercept": b * y_std + y_mean,
-                               "w": w, "b": b, "y_std": y_std, "y_mean": y_mean})
+
+def predict_svr(state: dict, Q: np.ndarray) -> np.ndarray:
+    return (Q @ state["w"] + state["b"]) * state["y_std"] + state["y_mean"]

@@ -18,7 +18,21 @@ from .tree import RegressionTree
 
 MODEL_SCHEMA_VERSION = "1"
 
-_LINEAR = (Algorithm.LR, Algorithm.LaR, Algorithm.RR, Algorithm.BLaR)
+# the state entries each algorithm saves; the rest (importance, flags, GB's
+# train_mse_curve) are either saved beside the state or not needed to predict
+_SAVED_STATE = {
+    Algorithm.LR: ("coef", "intercept"),
+    Algorithm.LaR: ("coef", "intercept"),
+    Algorithm.RR: ("coef", "intercept"),
+    Algorithm.BLaR: ("coef", "intercept"),
+    Algorithm.SVM: ("w", "b", "y_std", "y_mean"),
+    Algorithm.KNN: ("k", "train_X", "train_y"),
+    Algorithm.DT: ("tree",),
+    Algorithm.NN: ("W1", "b1", "W2", "b2"),
+    Algorithm.RF: ("trees",),
+    Algorithm.AdaDT: ("trees", "weights"),
+    Algorithm.GB: ("trees", "base", "learning_rate"),
+}
 
 
 def _tree_to_doc(tree: RegressionTree) -> dict:
@@ -41,103 +55,24 @@ def _tree_from_doc(doc: dict) -> RegressionTree:
     return tree
 
 
-def _state_to_doc(algorithm: Algorithm, state: dict) -> dict:
-    if algorithm in _LINEAR:
-        return {"coef": state["coef"].tolist(), "intercept": state["intercept"]}
-    if algorithm is Algorithm.SVM:
-        return {"w": state["w"].tolist(), "b": state["b"],
-                "y_std": state["y_std"], "y_mean": state["y_mean"]}
-    if algorithm is Algorithm.KNN:
-        return {"k": state["k"], "train_X": state["train_X"].tolist(),
-                "train_y": state["train_y"].tolist()}
-    if algorithm is Algorithm.DT:
-        return {"tree": _tree_to_doc(state["tree"])}
-    if algorithm is Algorithm.RF:
-        return {"trees": [_tree_to_doc(t) for t in state["trees"]]}
-    if algorithm is Algorithm.AdaDT:
-        return {"trees": [_tree_to_doc(t) for t in state["trees"]],
-                "weights": np.asarray(state["weights"]).tolist()}
-    if algorithm is Algorithm.GB:
-        return {"trees": [_tree_to_doc(t) for t in state["trees"]],
-                "base": state["base"],
-                "learning_rate": state["learning_rate"]}
-    if algorithm is Algorithm.NN:
-        return {key: value.tolist() for key, value in state["params"].items()}
-    raise SchemaError(f"cannot serialize algorithm {algorithm}")
+def _value_to_doc(value):
+    if isinstance(value, RegressionTree):
+        return _tree_to_doc(value)
+    if isinstance(value, list):
+        return [_value_to_doc(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
-def _predictor_from_doc(algorithm: Algorithm, doc: dict):
-    if algorithm in _LINEAR:
-        coef = np.asarray(doc["coef"])
-        intercept = float(doc["intercept"])
-        return lambda X: X @ coef + intercept
-    if algorithm is Algorithm.SVM:
-        w = np.asarray(doc["w"])
-        b = float(doc["b"])
-        y_std = float(doc["y_std"])
-        y_mean = float(doc["y_mean"])
-        return lambda X: (X @ w + b) * y_std + y_mean
-    if algorithm is Algorithm.KNN:
-        train_X = np.asarray(doc["train_X"])
-        train_y = np.asarray(doc["train_y"])
-        k = int(doc["k"])
-
-        def predict(Q: np.ndarray) -> np.ndarray:
-            d2 = ((Q[:, None, :] - train_X[None, :, :]) ** 2).sum(axis=2)
-            out = np.empty(Q.shape[0])
-            for i in range(Q.shape[0]):
-                order = np.lexsort((np.arange(train_X.shape[0]), d2[i]))
-                out[i] = train_y[order[:k]].mean()
-            return out
-
-        return predict
-    if algorithm is Algorithm.DT:
-        tree = _tree_from_doc(doc["tree"])
-        return tree.predict
-    if algorithm is Algorithm.RF:
-        trees = [_tree_from_doc(d) for d in doc["trees"]]
-
-        def predict(Q: np.ndarray) -> np.ndarray:
-            preds = np.zeros(Q.shape[0])
-            for tree in trees:
-                preds += tree.predict(Q)
-            return preds / len(trees)
-
-        return predict
-    if algorithm is Algorithm.AdaDT:
-        trees = [_tree_from_doc(d) for d in doc["trees"]]
-        weights = np.asarray(doc["weights"])
-
-        def predict(Q: np.ndarray) -> np.ndarray:
-            preds = np.column_stack([tree.predict(Q) for tree in trees])
-            if preds.shape[1] == 1:
-                return preds[:, 0]
-            order = np.argsort(preds, axis=1)
-            cdf = np.cumsum(weights[order], axis=1)
-            half = 0.5 * cdf[:, -1]
-            pick = (cdf >= half[:, None]).argmax(axis=1)
-            rows = np.arange(Q.shape[0])
-            return preds[rows, order[rows, pick]]
-
-        return predict
-    if algorithm is Algorithm.GB:
-        trees = [_tree_from_doc(d) for d in doc["trees"]]
-        base = float(doc["base"])
-        learning_rate = float(doc["learning_rate"])
-
-        def predict(Q: np.ndarray) -> np.ndarray:
-            preds = np.full(Q.shape[0], base)
-            for tree in trees:
-                preds += learning_rate * tree.predict(Q)
-            return preds
-
-        return predict
-    if algorithm is Algorithm.NN:
-        from .mlp import forward
-
-        params = {key: np.asarray(value) for key, value in doc.items()}
-        return lambda X: forward(params, X)
-    raise SchemaError(f"cannot deserialize algorithm {algorithm}")
+def _value_from_doc(key: str, value):
+    if key == "tree":
+        return _tree_from_doc(value)
+    if key == "trees":
+        return [_tree_from_doc(v) for v in value]
+    if isinstance(value, list):
+        return np.asarray(value)
+    return value
 
 
 def model_to_doc(model: TrainedModel) -> dict:
@@ -150,24 +85,29 @@ def model_to_doc(model: TrainedModel) -> dict:
         "importance": None if model.importance is None
         else np.asarray(model.importance).tolist(),
         "flags": list(model.flags),
-        "state": _state_to_doc(model.spec.algorithm, model.state),
+        "state": {key: _value_to_doc(model.state[key])
+                  for key in _SAVED_STATE[model.spec.algorithm]},
     }
 
 
 def model_from_doc(doc: dict) -> TrainedModel:
+    """Rebuild a model from a saved document; a malformed one raises SchemaError."""
+    if not isinstance(doc, dict):
+        raise SchemaError("a model document must be a JSON object")
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported model schema version {doc.get('schema_version')!r}")
-    algorithm = Algorithm(doc["algorithm"])
-    spec = RegressorSpec(algorithm, dict(doc["hyperparameters"]), doc["seed"])
-    importance = None if doc["importance"] is None else np.asarray(doc["importance"])
-    return TrainedModel(
-        spec,
-        doc["feature_names"],
-        _predictor_from_doc(algorithm, doc["state"]),
-        importance=importance,
-        flags=tuple(doc["flags"]),
-    )
+    try:
+        algorithm = Algorithm(doc["algorithm"])
+        spec = RegressorSpec(algorithm, dict(doc["hyperparameters"]), doc["seed"])
+        state = {key: _value_from_doc(key, doc["state"][key])
+                 for key in _SAVED_STATE[algorithm]}
+        importance = doc["importance"]
+        state["importance"] = None if importance is None else np.asarray(importance)
+        state["flags"] = tuple(doc["flags"])
+        return TrainedModel(spec, doc["feature_names"], state)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"malformed model document: {exc!r}") from exc
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -178,4 +118,8 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    return model_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"model file is not valid JSON: {exc}") from exc
+    return model_from_doc(doc)

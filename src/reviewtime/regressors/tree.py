@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import RegressorSpec, TrainedModel, check_training_inputs
+from .base import RegressorSpec, check_training_inputs
 
 _GAIN_EPS = 1e-12
 
@@ -125,8 +125,7 @@ class RegressionTree:
         return out
 
 
-def fit_decision_tree(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
-                      feature_names) -> TrainedModel:
+def fit_decision_tree(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     X, y = check_training_inputs(X, y)
     max_depth = spec.hyperparameters["max_depth"]
     tree = RegressionTree(
@@ -135,5 +134,8 @@ def fit_decision_tree(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
     ).fit(X, y)
     total = tree.importances_.sum()
     importance = tree.importances_ / total if total > 0 else tree.importances_
-    return TrainedModel(spec, feature_names, tree.predict,
-                        importance=importance, state={"tree": tree})
+    return {"tree": tree, "importance": importance}
+
+
+def predict_decision_tree(state: dict, X: np.ndarray) -> np.ndarray:
+    return state["tree"].predict(X)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reviewtime.errors import UnknownUnitError
+from reviewtime import evaluation
+from reviewtime.errors import ReviewTimeError, UnknownUnitError
 from reviewtime.evaluation import PipelineConfig, run_online_validation
 from reviewtime.features import FEATURE_NAMES
 from reviewtime.importance import (
@@ -77,6 +78,23 @@ class TestLocoImportance:
         for copy in ("x1", "x2"):
             delta = loco_importance(data, config, copy, full_result=full)
             assert abs(np.median(delta)) < 0.05 * mae_full
+
+    def test_failed_iteration_raises(self, monkeypatch):
+        # the reduced run's second iteration fails; its NaN must not become a delta
+        data = planted(n=100)
+        real_fit = evaluation.fit
+        calls = []
+
+        def failing_fit(spec, X, y, names):
+            calls.append(len(names))
+            if len(calls) == 7:
+                raise RuntimeError("injected failure")
+            return real_fit(spec, X, y, names)
+
+        monkeypatch.setattr(evaluation, "fit", failing_fit)
+        with pytest.raises(ReviewTimeError, match=r"\(0, 2\).*injected failure"):
+            loco_importance(data, lr_config(), "x4")
+        assert calls[6] == len(data.feature_names) - 1
 
     def test_fold_plan_and_seeds_unchanged(self):
         data = planted(n=100)

@@ -128,12 +128,6 @@ class TestSequentialSelect:
                                            names, max_features=1)
         assert len(result.selected) == 1
 
-    def test_result_serializable(self):
-        X, y, names = planted_signal(p=3)
-        result = sequential_forward_select(RegressorSpec(Algorithm.LR), X, y, names)
-        doc = result.to_json()
-        assert set(doc) == {"selected", "scores"}
-
 
 class TestChronologicalSplit:
     def test_last_fifth(self):

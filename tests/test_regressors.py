@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -378,4 +380,25 @@ class TestModelSerialization:
             '"schema_version": "1"', '"schema_version": "9"')
         (tmp_path / "m.json").write_text(text)
         with pytest.raises(SchemaError, match="version"):
+            load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: json.dumps({**doc, "algorithm": "XGB"}),
+        lambda doc: json.dumps({**doc, "state": {"coef": doc["state"]["coef"]}}),
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "state"}),
+        lambda doc: json.dumps({k: v for k, v in doc.items() if k != "feature_names"}),
+        lambda doc: json.dumps([doc]),
+        lambda doc: json.dumps(doc)[:-1],
+    ], ids=["unknown-algorithm", "missing-state-key", "missing-state",
+            "missing-feature-names", "not-an-object", "truncated"])
+    def test_malformed_file_rejected(self, corrupt, tmp_path):
+        from reviewtime.regressors.serialize import load_model, save_model
+        from reviewtime.errors import SchemaError
+
+        X = np.arange(10.0).reshape(-1, 1)
+        model = fit(RegressorSpec(Algorithm.LR), X, 2 * X[:, 0])
+        save_model(model, tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        (tmp_path / "m.json").write_text(corrupt(doc))
+        with pytest.raises(SchemaError):
             load_model(tmp_path / "m.json")
