@@ -17,8 +17,6 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import dataset as ds
 from . import gerrit
 from .config import RunConfig, load_run_config
@@ -46,14 +44,10 @@ def _write_meta(out_dir: Path, command: str, started: float, extra: dict | None 
         json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_features(path: str | Path) -> FeatureMatrix:
-    return FeatureMatrix.from_csv(path)
-
-
 def cmd_crawl(config: RunConfig, args) -> int:
     if config.crawl is None:
         raise ConfigError("config has no crawl section")
-    out = Path(args.out or config.out_dir)
+    out = config.out_dir
     started = time.time()
     manifest = gerrit.crawl_project(config.crawl, out / "changes.jsonl",
                                     jobs=args.jobs)
@@ -63,7 +57,7 @@ def cmd_crawl(config: RunConfig, args) -> int:
 
 
 def cmd_filter(config: RunConfig, args) -> int:
-    out = Path(args.out or config.out_dir)
+    out = config.out_dir
     started = time.time()
     records, manifest = ds.read_dataset(args.input)
     bot_accounts = config.crawl.bot_accounts if config.crawl \
@@ -86,7 +80,7 @@ def cmd_filter(config: RunConfig, args) -> int:
 
 
 def cmd_featurize(config: RunConfig, args) -> int:
-    out = Path(args.out or config.out_dir)
+    out = config.out_dir
     started = time.time()
     records, _ = ds.read_dataset(args.input)
     if args.history:
@@ -105,9 +99,9 @@ def cmd_featurize(config: RunConfig, args) -> int:
 def cmd_evaluate(config: RunConfig, args) -> int:
     if not config.pipelines:
         raise ConfigError("config has no evaluation.pipelines")
-    out = Path(args.out or config.out_dir)
+    out = config.out_dir
     started = time.time()
-    data = _load_features(args.features)
+    data = FeatureMatrix.from_csv(args.features)
     summaries = {}
     for pipeline in config.pipelines:
         result = run_online_validation(data, pipeline)
@@ -124,7 +118,7 @@ def cmd_evaluate(config: RunConfig, args) -> int:
 
 
 def cmd_compare(config: RunConfig, args) -> int:
-    out = Path(args.out or config.out_dir)
+    out = config.out_dir
     started = time.time()
     samples = {}
     for path in args.results:
@@ -163,9 +157,9 @@ def _write_comparisons(path: Path, comparisons) -> None:
 def cmd_ablate(config: RunConfig, args) -> int:
     if not config.pipelines:
         raise ConfigError("config has no evaluation.pipelines")
-    out = Path(args.out or config.out_dir)
+    out = config.out_dir
     started = time.time()
-    data = _load_features(args.features)
+    data = FeatureMatrix.from_csv(args.features)
     pipeline = config.pipelines[0]
     ablation = dimension_ablation(data, pipeline)
     out.mkdir(parents=True, exist_ok=True)
@@ -182,9 +176,9 @@ def cmd_ablate(config: RunConfig, args) -> int:
 def cmd_rank(config: RunConfig, args) -> int:
     if not config.pipelines:
         raise ConfigError("config has no evaluation.pipelines")
-    out = Path(args.out or config.out_dir)
+    out = config.out_dir
     started = time.time()
-    data = _load_features(args.features)
+    data = FeatureMatrix.from_csv(args.features)
     pipeline = config.pipelines[0]
     units = list(DIMENSIONS) if args.by == "dimension" else None
     importance = loco_all(data, pipeline, units=units)
@@ -200,7 +194,7 @@ def cmd_rank(config: RunConfig, args) -> int:
 
 
 def cmd_report(config: RunConfig, args) -> int:
-    run_dir = Path(args.run or args.out or config.out_dir)
+    run_dir = Path(args.run or config.out_dir)
     started = time.time()
     artifacts = sorted(
         p.relative_to(run_dir).as_posix()
@@ -237,12 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="concurrent detail fetches (crawl)")
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("crawl", help="fetch changes from the Gerrit server")
     common(p)
+    p.add_argument("--jobs", type=int, default=1, help="concurrent detail fetches")
     p.set_defaults(func=cmd_crawl)
 
     p = sub.add_parser("filter", help="apply the training-data filters")

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,8 +30,6 @@ EIGENVECTOR_MAX_ITER = 1000
 class InteractionGraph:
     nodes: frozenset[int]
     edges: dict[tuple[int, int], int]  # key is the sorted node pair
-    as_of: datetime | None = None
-    window_days: int = DEFAULT_WINDOW_DAYS
 
     def __post_init__(self):
         for (u, v), w in self.edges.items():
@@ -43,7 +42,9 @@ class InteractionGraph:
             if u not in self.nodes or v not in self.nodes:
                 raise ValueError("edge endpoint missing from node set")
 
+    @cached_property
     def adjacency(self) -> dict[int, set[int]]:
+        """Neighbour sets, built once per graph; callers must not mutate them."""
         adj: dict[int, set[int]] = {v: set() for v in self.nodes}
         for u, v in self.edges:
             adj[u].add(v)
@@ -92,12 +93,7 @@ def build_graph(history: Sequence[ChangeRecord], as_of: datetime,
             key = (owner, participant) if owner < participant else (participant, owner)
             weights[key] = weights.get(key, 0) + 1
             nodes.update(key)
-    return InteractionGraph(
-        nodes=frozenset(nodes),
-        edges=weights,
-        as_of=as_of,
-        window_days=window_days,
-    )
+    return InteractionGraph(nodes=frozenset(nodes), edges=weights)
 
 
 def _bfs_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:
@@ -122,7 +118,7 @@ def degree_centrality(graph: InteractionGraph, v: int) -> float:
     n = len(graph.nodes)
     if n <= 1:
         return 0.0
-    adj = graph.adjacency()
+    adj = graph.adjacency
     return len(adj[v]) / (n - 1)
 
 
@@ -138,7 +134,7 @@ def closeness_centrality(graph: InteractionGraph, v: int) -> float:
     n = len(graph.nodes)
     if n <= 1:
         return 0.0
-    adj = graph.adjacency()
+    adj = graph.adjacency
     dist = _bfs_distances(adj, v)
     total = sum(dist.values())
     if total == 0:
@@ -158,7 +154,7 @@ def betweenness_centrality(graph: InteractionGraph, v: int) -> float:
     n = len(graph.nodes)
     if n < 3:
         return 0.0
-    adj = graph.adjacency()
+    adj = graph.adjacency
     score = 0.0
     for s in graph.nodes:
         # single-source shortest paths with path counts
@@ -196,7 +192,7 @@ def eigenvector_centrality(graph: InteractionGraph, v: int) -> float:
     """
     if v not in graph.nodes:
         return 0.0
-    adj = graph.adjacency()
+    adj = graph.adjacency
     if not adj[v]:
         return 0.0
     component = _component_of(adj, v)
@@ -230,7 +226,7 @@ def eigenvector_centrality(graph: InteractionGraph, v: int) -> float:
 def clustering_coefficient(graph: InteractionGraph, v: int) -> float:
     if v not in graph.nodes:
         return 0.0
-    adj = graph.adjacency()
+    adj = graph.adjacency
     neighbors = adj[v]
     k = len(neighbors)
     if k < 2:
@@ -251,7 +247,7 @@ def core_number(graph: InteractionGraph, v: int) -> int:
 
 
 def core_numbers(graph: InteractionGraph) -> dict[int, int]:
-    adj = {u: set(ns) for u, ns in graph.adjacency().items()}
+    adj = graph.adjacency
     degrees = {u: len(ns) for u, ns in adj.items()}
     cores: dict[int, int] = {}
     remaining = set(adj)

@@ -9,7 +9,6 @@ and their record is replicated across repeats.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -52,10 +51,6 @@ class FoldPlan:
     def fold(self, i: int) -> tuple[int, int]:
         return self.boundaries[i]
 
-    @property
-    def n(self) -> int:
-        return self.boundaries[-1][1]
-
 
 def make_online_folds(n: int) -> FoldPlan:
     """Ten contiguous chronological ranges; remainder goes to the earliest folds."""
@@ -94,28 +89,6 @@ class PipelineConfig:
         if self.grid is not None and self.grid.algorithm is not self.algorithm:
             raise ValueError("grid algorithm does not match pipeline algorithm")
 
-    def fingerprint(self) -> str:
-        doc = {
-            "algorithm": self.algorithm.value,
-            "normalizer": self.normalizer.value,
-            "selection": self.selection,
-            "spec": None if self.spec is None else {
-                "hyperparameters": _jsonable(self.spec.hyperparameters),
-            },
-            "grid": None if self.grid is None else _jsonable(self.grid.values),
-            "repeats": self.repeats,
-            "base_seed": self.base_seed,
-        }
-        return json.dumps(doc, sort_keys=True)
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
 
 @dataclass(frozen=True)
 class EvalRecord:
@@ -134,7 +107,6 @@ class EvalRecord:
 
 @dataclass
 class EvalResult:
-    config_fingerprint: str
     algorithm: str
     records: list[EvalRecord] = field(default_factory=list)
 
@@ -174,11 +146,9 @@ class EvalResult:
                 ])
 
     @classmethod
-    def from_csv(cls, path: str | Path, algorithm: str = "",
-                 fingerprint: str = "") -> "EvalResult":
+    def from_csv(cls, path: str | Path, algorithm: str = "") -> "EvalResult":
         path = Path(path)
-        result = cls(config_fingerprint=fingerprint,
-                     algorithm=algorithm or path.stem)
+        result = cls(algorithm=algorithm or path.stem)
         with path.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
@@ -297,8 +267,7 @@ def run_online_validation(data: FeatureMatrix, config: PipelineConfig) -> EvalRe
     """Run the 10-fold chronological protocol for every repeat and iteration."""
     n = len(data)
     plan = make_online_folds(n)
-    result = EvalResult(config_fingerprint=config.fingerprint(),
-                        algorithm=config.algorithm.value)
+    result = EvalResult(algorithm=config.algorithm.value)
     deterministic = is_deterministic(config.algorithm)
     effective_repeats = 1 if deterministic else config.repeats
     computed: list[list[EvalRecord]] = []

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Sequence
@@ -175,11 +176,6 @@ class FeatureMatrix:
         return FeatureMatrix(tuple(names), self.X[:, cols], self.y,
                              self.change_numbers, self.created_at)
 
-    def slice_rows(self, start: int, stop: int) -> "FeatureMatrix":
-        return FeatureMatrix(self.feature_names, self.X[start:stop],
-                             self.y[start:stop], self.change_numbers[start:stop],
-                             self.created_at[start:stop])
-
     def to_csv(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -333,9 +329,13 @@ def _human_messages(change: ChangeRecord):
 
 def extract_owner_experience(record: ChangeRecord,
                              prior_history: Sequence[ChangeRecord]) -> dict[str, float]:
-    prior = _prior_completed(record, prior_history)
+    """Owner-experience features over ``prior_history``, read as given.
+
+    ``prior_history`` must hold only the completed changes created before
+    ``record``; ``extract_all`` filters it once for both history extractors.
+    """
     owner = record.owner_id
-    own = [c for c in prior if c.owner_id == owner]
+    own = [c for c in prior_history if c.owner_id == owner]
     merged = sum(1 for c in own if c.status is ChangeStatus.MERGED)
     abandoned = sum(1 for c in own if c.status is ChangeStatus.ABANDONED)
 
@@ -344,14 +344,16 @@ def extract_owner_experience(record: ChangeRecord,
     def touches_subsystem(change: ChangeRecord) -> bool:
         return any(subsystem_of(f.path) in subsystems for f in change.files)
 
-    subsystem_changes = [c for c in prior if touches_subsystem(c)] if subsystems else []
+    subsystem_changes = [
+        c for c in prior_history if touches_subsystem(c)
+    ] if subsystems else []
     own_subsystem = [c for c in subsystem_changes if c.owner_id == owner]
 
     durations = [completion_time_hours(c) for c in own]
     dur_quad = _quadruple(durations)
 
     reviewed = sum(
-        1 for c in prior
+        1 for c in prior_history
         if c.owner_id != owner and any(m.author_id == owner for m in c.messages)
     )
     own_messages = sum(
@@ -382,10 +384,14 @@ def extract_owner_experience(record: ChangeRecord,
 
 def extract_file_history(record: ChangeRecord,
                          prior_history: Sequence[ChangeRecord]) -> dict[str, float]:
-    prior = _prior_completed(record, prior_history)
+    """File-history features over ``prior_history``, read as given.
+
+    ``prior_history`` must hold only the completed changes created before
+    ``record``; ``extract_all`` filters it once for both history extractors.
+    """
     paths = {f.path for f in record.files}
     overlapping = [
-        c for c in prior if any(f.path in paths for f in c.files)
+        c for c in prior_history if any(f.path in paths for f in c.files)
     ] if paths else []
     quad = _quadruple([completion_time_hours(c) for c in overlapping])
     values = {f"files_changes_duration_{s}": v for s, v in zip(_QUAD, quad)}
@@ -397,19 +403,15 @@ def extract_file_history(record: ChangeRecord,
 def extract_all(record: ChangeRecord, history: Sequence[ChangeRecord],
                 graph: collab.InteractionGraph,
                 policy: KeywordPolicy = KeywordPolicy()) -> FeatureVector:
-    """Assemble the full 50-value vector in canonical order."""
+    """Assemble the full 50-value vector in canonical order.
+
+    ``history`` may hold any changes; only the completed ones created before
+    ``record`` reach the owner-experience and file-history extractors.
+    """
     prior = _prior_completed(record, history)
-    cf = collab.collab_features(graph, record.owner_id)
     values: dict[str, float] = {}
     values.update(extract_date_features(record))
-    values.update({
-        "degree_centrality": cf.degree_centrality,
-        "closeness_centrality": cf.closeness_centrality,
-        "betweenness_centrality": cf.betweenness_centrality,
-        "eigenvector_centrality": cf.eigenvector_centrality,
-        "clustering_coefficient": cf.clustering_coefficient,
-        "core_number": float(cf.core_number),
-    })
+    values.update(asdict(collab.collab_features(graph, record.owner_id)))
     values.update(extract_code_features(record))
     values.update(extract_text_features(record, policy))
     values.update(extract_owner_experience(record, prior))
@@ -431,14 +433,18 @@ def featurize(records: Sequence[ChangeRecord],
 
     ``history`` defaults to the records themselves; pass the unfiltered
     dataset so short/long/self-reviewed changes still count as experience.
+    History is read in creation order, so its input order does not matter.
+    Each record sees the one view of the changes created before it, which
+    both the interaction graph and the history features read.
     """
-    history = list(history) if history is not None else list(records)
-    ordered = sort_by_creation(records)
+    history = sort_by_creation(records if history is None else history)
+    created = [change.created_at for change in history]
     vectors = []
-    for record in ordered:
+    for record in sort_by_creation(records):
         if record.closed_at is None:
             continue
-        graph = collab.build_graph(history, as_of=record.created_at,
+        before = history[:bisect_left(created, record.created_at)]
+        graph = collab.build_graph(before, as_of=record.created_at,
                                    window_days=window_days)
-        vectors.append(extract_all(record, history, graph, policy))
+        vectors.append(extract_all(record, before, graph, policy))
     return FeatureMatrix.from_vectors(vectors)

@@ -14,6 +14,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
@@ -443,21 +444,14 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
     pending = (n for n in numbers if n not in seen)
     exhausted = False
     try:
-        with ds.dataset_appender(output_path) as append:
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    for record in pool.map(fetch_and_normalize, pending):
-                        append(record)
-                        seen.add(record.number)
-                        manifest = replace(manifest, count=len(seen),
-                                           project=record.project or manifest.project)
-            else:
-                for number in pending:
-                    record = fetch_and_normalize(number)
-                    append(record)
-                    seen.add(record.number)
-                    manifest = replace(manifest, count=len(seen),
-                                       project=record.project or manifest.project)
+        # at jobs=1 no thread starts: the built-in map fetches in this thread
+        with (ds.dataset_appender(output_path) as append,
+              ThreadPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool):
+            for record in (pool.map if pool else map)(fetch_and_normalize, pending):
+                append(record)
+                seen.add(record.number)
+                manifest = replace(manifest, count=len(seen),
+                                   project=record.project or manifest.project)
         exhausted = True
     finally:
         manifest = replace(manifest, count=len(seen), complete=exhausted)

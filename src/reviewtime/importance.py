@@ -25,7 +25,6 @@ from .stats import ComparisonResult, EsdRanking, compare_pairwise, scott_knott_e
 class ImportanceResult:
     unit_deltas: dict[str, np.ndarray]  # per unit: delta MAE over repeats x iterations
     ranking: EsdRanking
-    config_fingerprint: str
     mae_full: np.ndarray
 
     def to_csv(self, path: str | Path) -> None:
@@ -101,7 +100,6 @@ def loco_all(data: FeatureMatrix, config: PipelineConfig,
     return ImportanceResult(
         unit_deltas=deltas,
         ranking=rank_features(deltas),
-        config_fingerprint=config.fingerprint(),
         mae_full=_successful_mae(full_result),
     )
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.stats import chi2, rankdata
 
 from .errors import (
     AllZeroDifferencesError,
@@ -42,28 +42,12 @@ class ComparisonResult:
 @dataclass(frozen=True)
 class EsdRanking:
     clusters: tuple[tuple[str, ...], ...]
-    group_means: dict[str, float]  # mean of the transformed observations
-    group_sizes: dict[str, int]
 
     def rank_of(self, name: str) -> int:
         for rank, cluster in enumerate(self.clusters, start=1):
             if name in cluster:
                 return rank
         raise KeyError(name)
-
-
-def _rank_with_ties(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based) with ties sharing their mean rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
 
 
 def _exact_wilcoxon_cdf(ranks: np.ndarray, w: float) -> float:
@@ -106,7 +90,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> tuple[float,
     if diffs.size < 2:
         raise TooFewPairsError("need at least 2 non-zero differences")
     n = diffs.size
-    ranks = _rank_with_ties(np.abs(diffs))
+    ranks = rankdata(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
     w_minus = float(ranks[diffs < 0].sum())
     w = min(w_plus, w_minus)
@@ -263,10 +247,7 @@ def scott_knott_esd(groups: Mapping[str, Sequence[float]],
         clusters = _scott_knott_partition(transformed)
         clusters = _merge_negligible(clusters)
     return EsdRanking(
-        clusters=tuple(tuple(name for name, _ in cluster) for cluster in clusters),
-        group_means={name: float(obs.mean()) for name, obs in transformed},
-        group_sizes={name: int(obs.size) for name, obs in transformed},
-    )
+        clusters=tuple(tuple(name for name, _ in cluster) for cluster in clusters))
 
 
 def compare_pairwise(samples: Mapping[str, Sequence[float]],

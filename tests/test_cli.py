@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from reviewtime.cli import main
+from reviewtime.cli import build_parser, main
 from reviewtime.config import load_run_config
 from reviewtime.errors import ConfigError
 
@@ -71,6 +71,24 @@ class TestConfig:
         code = main(["filter", "--config", str(path), "--in", "x.jsonl"])
         assert code == 2
         assert "sede" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["filter", "--in", "x.jsonl"],
+        ["featurize", "--in", "x.jsonl"],
+        ["evaluate", "--features", "x.csv"],
+        ["compare", "x.csv", "y.csv"],
+        ["ablate", "--features", "x.csv"],
+        ["rank", "--features", "x.csv"],
+        ["report"],
+    ])
+    def test_jobs_only_on_crawl(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(path), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        args = build_parser().parse_args(["crawl", "--config", str(path), "--jobs", "2"])
+        assert args.jobs == 2
 
 
 @pytest.fixture()

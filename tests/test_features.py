@@ -26,7 +26,14 @@ from reviewtime.features import (
     extract_text_features,
     featurize,
 )
-from reviewtime.gerrit import ChangeStatus, FileDiff
+from reviewtime.gerrit import (
+    ChangeStatus,
+    CrawlConfig,
+    FileDiff,
+    RawChange,
+    normalize_change,
+)
+from reviewtime.gerrit_fixture import generate_corpus
 
 from conftest import BASE_TIME, make_record
 
@@ -292,7 +299,33 @@ class TestExtractAll:
             extract_all(record, history, graph)
 
 
+@pytest.fixture(scope="module")
+def corpus_records():
+    """60 fixture changes in creation order, with messages, files and owners."""
+    config = CrawlConfig(base_url="http://fixture.invalid")
+    return [normalize_change(RawChange(doc, BASE_TIME), config)
+            for doc in generate_corpus(60, seed=1)]
+
+
 class TestFeaturize:
+    def test_history_order_does_not_matter(self, corpus_records):
+        shuffled = list(corpus_records)
+        np.random.default_rng(0).shuffle(shuffled)
+        assert shuffled != corpus_records
+        in_order = featurize(corpus_records, history=corpus_records)
+        assert np.array_equal(featurize(corpus_records, history=shuffled).X, in_order.X)
+
+    def test_matches_record_by_record_definition(self, corpus_records):
+        # on creation-ordered history, the per-record prefix view must give
+        # what the whole history gives each record
+        expected = [
+            extract_all(r, corpus_records,
+                        collab.build_graph(corpus_records, as_of=r.created_at))
+            for r in corpus_records if r.closed_at is not None
+        ]
+        matrix = featurize(corpus_records)
+        assert np.array_equal(matrix.X, FeatureMatrix.from_vectors(expected).X)
+
     def test_skips_incomplete_and_sorts(self):
         records = [
             make_record(3, created=BASE_TIME + timedelta(days=2), duration_hours=40.0),
