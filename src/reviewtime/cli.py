@@ -21,7 +21,7 @@ from . import dataset as ds
 from . import gerrit
 from .config import RunConfig, load_run_config
 from .errors import ConfigError, ReviewTimeError
-from .evaluation import EvalResult, run_online_validation
+from .evaluation import EvalResult, PipelineConfig, run_online_validation
 from .features import DIMENSIONS, FeatureMatrix, featurize
 from .importance import dimension_ablation, loco_all
 from .stats import compare_pairwise
@@ -31,79 +31,74 @@ EXIT_ERROR = 1
 EXIT_CONFIG = 2
 
 
-def _write_meta(out_dir: Path, command: str, started: float, extra: dict | None = None):
+def _write_meta(out_dir: Path, command: str, started: float, duration: float,
+                extra: dict | None) -> None:
     meta_dir = out_dir / "meta"
-    meta_dir.mkdir(parents=True, exist_ok=True)
+    meta_dir.mkdir(exist_ok=True)
     doc = {
         "command": command,
-        "started_at": datetime.now(timezone.utc).isoformat(),
-        "duration_seconds": round(time.time() - started, 3),
+        "started_at": datetime.fromtimestamp(started, timezone.utc).isoformat(),
+        "duration_seconds": round(duration, 3),
+        **(extra or {}),
     }
-    doc.update(extra or {})
     (meta_dir / f"{command}.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def cmd_crawl(config: RunConfig, args) -> int:
+def _pipelines(config: RunConfig) -> tuple[PipelineConfig, ...]:
+    if not config.pipelines:
+        raise ConfigError("config has no evaluation.pipelines")
+    return config.pipelines
+
+
+# Each command writes its outputs under config.out_dir, which main creates,
+# and returns the extra fields of its meta/<command>.json, if any.
+def cmd_crawl(config: RunConfig, args) -> dict:
     if config.crawl is None:
         raise ConfigError("config has no crawl section")
     out = config.out_dir
-    started = time.time()
     manifest = gerrit.crawl_project(config.crawl, out / "changes.jsonl",
                                     jobs=args.jobs)
-    _write_meta(out, "crawl", started, {"count": manifest.count})
     print(f"crawled {manifest.count} changes -> {out / 'changes.jsonl'}")
-    return EXIT_OK
+    return {"count": manifest.count}
 
 
-def cmd_filter(config: RunConfig, args) -> int:
+def cmd_filter(config: RunConfig, args) -> None:
     out = config.out_dir
-    started = time.time()
     records, manifest = ds.read_dataset(args.input)
     bot_accounts = config.crawl.bot_accounts if config.crawl \
         else gerrit.DEFAULT_BOT_ACCOUNTS
     kept, report = ds.apply_filters(records, config.filter_policy, bot_accounts)
     kept = ds.sort_by_creation(kept)
-    out.mkdir(parents=True, exist_ok=True)
     ds.write_dataset(kept, out / "filtered.jsonl", project=manifest.project,
                      query=manifest.crawl_query, filter_policy=config.filter_policy,
                      segments_from_diff=manifest.segments_from_diff)
     report_doc = asdict(report)
     (out / "filter_report.json").write_text(
         json.dumps(report_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    _write_meta(out, "filter", started)
     print(f"kept {report.kept} of {report.total} records "
           f"(incomplete {report.dropped_incomplete}, reopened {report.dropped_reopened}, "
           f"self {report.dropped_self}, short {report.dropped_short}, "
           f"long {report.dropped_long}) -> {out / 'filtered.jsonl'}")
-    return EXIT_OK
 
 
-def cmd_featurize(config: RunConfig, args) -> int:
+def cmd_featurize(config: RunConfig, args) -> dict:
     out = config.out_dir
-    started = time.time()
     records, _ = ds.read_dataset(args.input)
-    if args.history:
-        history, _ = ds.read_dataset(args.history)
-    else:
-        history = records
+    history = ds.read_dataset(args.history)[0] if args.history else None
     matrix = featurize(records, history=history, window_days=config.window_days,
                        policy=config.keywords)
     matrix.to_csv(out / "features.csv")
-    _write_meta(out, "featurize", started, {"rows": len(matrix)})
     print(f"extracted {len(matrix)} x {len(matrix.feature_names)} feature rows "
           f"-> {out / 'features.csv'}")
-    return EXIT_OK
+    return {"rows": len(matrix)}
 
 
-def cmd_evaluate(config: RunConfig, args) -> int:
-    if not config.pipelines:
-        raise ConfigError("config has no evaluation.pipelines")
+def cmd_evaluate(config: RunConfig, args) -> None:
     out = config.out_dir
-    started = time.time()
     data = FeatureMatrix.from_csv(args.features)
     summaries = {}
-    for pipeline in config.pipelines:
+    for pipeline in _pipelines(config):
         result = run_online_validation(data, pipeline)
         name = pipeline.algorithm.value
         result.to_csv(out / f"eval_{name}.csv")
@@ -113,13 +108,10 @@ def cmd_evaluate(config: RunConfig, args) -> int:
               f"sa mean {summaries[name]['sa']['mean']:.2f}")
     (out / "eval_summary.json").write_text(
         json.dumps(summaries, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    _write_meta(out, "evaluate", started)
-    return EXIT_OK
 
 
-def cmd_compare(config: RunConfig, args) -> int:
+def cmd_compare(config: RunConfig, args) -> None:
     out = config.out_dir
-    started = time.time()
     samples = {}
     for path in args.results:
         result = EvalResult.from_csv(path)
@@ -128,7 +120,6 @@ def cmd_compare(config: RunConfig, args) -> int:
     if len(samples) < 2:
         raise ReviewTimeError("compare needs at least two result files")
     comparisons = compare_pairwise(samples)
-    out.mkdir(parents=True, exist_ok=True)
     _write_comparisons(out / "comparisons.csv", comparisons)
     lines = ["| pair | W | p | p(adj) | significant | delta | magnitude |",
              "|---|---|---|---|---|---|---|"]
@@ -138,9 +129,7 @@ def cmd_compare(config: RunConfig, args) -> int:
                      f"{'yes' if c.significant else 'no'} | {c.cliffs_d:.3f} | "
                      f"{c.magnitude} |")
     (out / "comparisons.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_meta(out, "compare", started)
     print("\n".join(lines))
-    return EXIT_OK
 
 
 def _write_comparisons(path: Path, comparisons) -> None:
@@ -154,48 +143,33 @@ def _write_comparisons(path: Path, comparisons) -> None:
                              repr(c.cliffs_d), c.magnitude])
 
 
-def cmd_ablate(config: RunConfig, args) -> int:
-    if not config.pipelines:
-        raise ConfigError("config has no evaluation.pipelines")
+def cmd_ablate(config: RunConfig, args) -> None:
     out = config.out_dir
-    started = time.time()
     data = FeatureMatrix.from_csv(args.features)
-    pipeline = config.pipelines[0]
-    ablation = dimension_ablation(data, pipeline)
-    out.mkdir(parents=True, exist_ok=True)
+    ablation = dimension_ablation(data, _pipelines(config)[0])
     for mode, result in ablation.results.items():
         result.to_csv(out / f"ablation_{mode}.csv")
     _write_comparisons(out / "ablation_comparisons.csv", ablation.comparisons)
-    _write_meta(out, "ablate", started)
     for mode in ("all", *DIMENSIONS):
         summary = ablation.results[mode].summary()
         print(f"{mode}: mae mean {summary['mae']['mean']:.3f}")
-    return EXIT_OK
 
 
-def cmd_rank(config: RunConfig, args) -> int:
-    if not config.pipelines:
-        raise ConfigError("config has no evaluation.pipelines")
+def cmd_rank(config: RunConfig, args) -> None:
     out = config.out_dir
-    started = time.time()
     data = FeatureMatrix.from_csv(args.features)
-    pipeline = config.pipelines[0]
     units = list(DIMENSIONS) if args.by == "dimension" else None
-    importance = loco_all(data, pipeline, units=units)
-    out.mkdir(parents=True, exist_ok=True)
+    importance = loco_all(data, _pipelines(config)[0], units=units)
     importance.to_csv(out / f"loco_{args.by}.csv")
     clusters_doc = [list(cluster) for cluster in importance.ranking.clusters]
     (out / f"loco_{args.by}_clusters.json").write_text(
         json.dumps(clusters_doc, indent=2) + "\n", encoding="utf-8")
-    _write_meta(out, "rank", started)
     for rank, cluster in enumerate(importance.ranking.clusters, start=1):
         print(f"rank {rank}: {', '.join(cluster)}")
-    return EXIT_OK
 
 
-def cmd_report(config: RunConfig, args) -> int:
-    run_dir = Path(args.run or config.out_dir)
-    started = time.time()
+def cmd_report(config: RunConfig, args) -> dict:
+    run_dir = config.out_dir
     artifacts = sorted(
         p.relative_to(run_dir).as_posix()
         for p in run_dir.rglob("*")
@@ -216,9 +190,8 @@ def cmd_report(config: RunConfig, args) -> int:
                 f"| {name} | {s['mae']['mean']:.3f} | {s['mae']['median']:.3f} "
                 f"| {s['mre']['mean']:.3f} | {s['sa']['mean']:.2f} |")
     (run_dir / "report.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_meta(run_dir, "report", started, {"artifacts": len(artifacts)})
     print(f"report covering {len(artifacts)} artifacts -> {run_dir / 'report.md'}")
-    return EXIT_OK
+    return {"artifacts": len(artifacts)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,26 +246,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="consolidated Markdown report for a run")
     common(p)
-    p.add_argument("--run", default=None, help="run directory (defaults to --out)")
     p.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_run_config(args.config, seed_override=args.seed,
                                  out_override=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return args.func(config, args)
+        started = time.time()
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+        extra = args.func(config, args)
+        _write_meta(config.out_dir, args.command, started, time.time() - started,
+                    extra)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -302,6 +270,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return EXIT_OK
 
 
 if __name__ == "__main__":

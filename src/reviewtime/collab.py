@@ -12,7 +12,6 @@ from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -282,8 +281,3 @@ def collab_features(graph: InteractionGraph, owner: int) -> CollabFeatures:
         core_number=core_number(graph, owner),
     )
 
-
-def write_edge_list(graph: InteractionGraph, path: str | Path) -> None:
-    """Debug dump as 'u v weight' lines, one edge per line."""
-    lines = [f"{u} {v} {w}" for (u, v), w in sorted(graph.edges.items())]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -1,23 +1,26 @@
 """Declarative run configuration: one JSON file drives every command.
 
 Unknown keys are rejected (naming the offending key); JSON syntax errors
-surface with their line number.  All randomness in a run derives from the
-single top-level seed unless a section overrides it.
+surface with their line number, and a malformed value with the section that
+holds it.  All randomness in a run derives from the single top-level seed
+unless a section overrides it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .dataset import FilterPolicy
 from .errors import ConfigError
 from .evaluation import DEFAULT_REPEATS, PipelineConfig
 from .features import KeywordPolicy
 from .gerrit import CrawlConfig
-from .preprocess import NormalizerKind
 from .regressors import Algorithm, HyperGrid, RegressorSpec
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -29,26 +32,86 @@ class RunConfig:
     window_days: int
     out_dir: Path
     seed: int
-    repeats: int
 
 
 _TOP_KEYS = {"crawl", "filter", "keywords", "features", "evaluation", "out_dir", "seed"}
-_CRAWL_KEYS = {"base_url", "query", "page_size", "max_changes", "request_timeout",
-               "max_retries", "min_request_interval_ms", "bot_accounts",
-               "fetch_file_diffs"}
-_FILTER_KEYS = {"min_hours", "max_hours", "drop_reopened", "drop_self_reviewed"}
-_KEYWORD_KEYS = {"refactoring_keywords", "perfective_keywords",
-                 "non_functional_keywords"}
 _FEATURE_KEYS = {"window_days"}
 _EVAL_KEYS = {"repeats", "base_seed", "pipelines"}
 _PIPELINE_KEYS = {"algorithm", "normalizer", "selection", "hyperparameters", "grid",
                   "repeats"}
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+def _section(doc, where: str, allowed: set[str], build: Callable[[dict], T]) -> T:
+    """Build one section from a JSON object whose keys are all in ``allowed``.
+
+    A malformed value, which the constructors reject with TypeError,
+    ValueError or AttributeError, becomes a ConfigError naming ``where``.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r} in {where}")
+    try:
+        return build(doc)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _dataclass_section(doc: dict, key: str, cls: Callable[..., T]) -> T:
+    """The section ``key`` as the dataclass ``cls``, whose fields are its keys."""
+    return _section(doc.get(key, {}), key, {f.name for f in fields(cls)},
+                    lambda section: cls(**section))
+
+
+def _pipeline(entry: dict, repeats: int, base_seed: int) -> PipelineConfig:
+    try:
+        algorithm = Algorithm(entry.get("algorithm"))
+    except ValueError:
+        raise ValueError("missing or unknown algorithm") from None
+    spec = grid = None
+    if "hyperparameters" in entry:
+        spec = RegressorSpec(algorithm, dict(entry["hyperparameters"]), base_seed)
+    elif "grid" in entry:
+        values = {k: list(v) for k, v in dict(entry["grid"]).items()}
+        grid = HyperGrid(algorithm, values)
+    return PipelineConfig(
+        algorithm=algorithm,
+        normalizer=entry.get("normalizer", "none"),
+        selection=entry.get("selection", "none"),
+        spec=spec,
+        grid=grid,
+        repeats=int(entry.get("repeats", repeats)),
+        base_seed=base_seed,
+    )
+
+
+def _evaluation(section: dict, seed: int) -> tuple[PipelineConfig, ...]:
+    repeats = int(section.get("repeats", DEFAULT_REPEATS))
+    base_seed = int(section.get("base_seed", seed))
+    return tuple(
+        _section(entry, f"evaluation.pipelines[{i}]", _PIPELINE_KEYS,
+                 lambda e: _pipeline(e, repeats, base_seed))
+        for i, entry in enumerate(section.get("pipelines", [])))
+
+
+def _run_config(doc: dict, seed_override: int | None,
+                out_override: str | None) -> RunConfig:
+    seed = int(doc.get("seed", 0))
+    if seed_override is not None:
+        seed = seed_override
+    crawl = _dataclass_section(doc, "crawl", CrawlConfig) if "crawl" in doc else None
+    return RunConfig(
+        crawl=crawl,
+        filter_policy=_dataclass_section(doc, "filter", FilterPolicy),
+        keywords=_dataclass_section(doc, "keywords", KeywordPolicy),
+        pipelines=_section(doc.get("evaluation", {}), "evaluation", _EVAL_KEYS,
+                           lambda section: _evaluation(section, seed)),
+        window_days=_section(doc.get("features", {}), "features", _FEATURE_KEYS,
+                             lambda section: int(section.get("window_days", 365))),
+        out_dir=Path(out_override or doc.get("out_dir", "runs/out")),
+        seed=seed,
+    )
 
 
 def load_run_config(path: str | Path, seed_override: int | None = None,
@@ -58,82 +121,7 @@ def load_run_config(path: str | Path, seed_override: int | None = None,
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "top level")
-
-    seed = int(doc.get("seed", 0))
-    if seed_override is not None:
-        seed = seed_override
-
-    crawl = None
-    if "crawl" in doc:
-        section = doc["crawl"]
-        _check_keys(section, _CRAWL_KEYS, "crawl")
-        try:
-            crawl = CrawlConfig(**{k: tuple(v) if k == "bot_accounts" else v
-                                   for k, v in section.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"crawl section: {exc}") from exc
-
-    filter_section = doc.get("filter", {})
-    _check_keys(filter_section, _FILTER_KEYS, "filter")
-    try:
-        filter_policy = FilterPolicy(**filter_section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"filter section: {exc}") from exc
-
-    keyword_section = doc.get("keywords", {})
-    _check_keys(keyword_section, _KEYWORD_KEYS, "keywords")
-    try:
-        keywords = KeywordPolicy(**{k: tuple(v) for k, v in keyword_section.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"keywords section: {exc}") from exc
-
-    feature_section = doc.get("features", {})
-    _check_keys(feature_section, _FEATURE_KEYS, "features")
-    window_days = int(feature_section.get("window_days", 365))
-
-    eval_section = doc.get("evaluation", {})
-    _check_keys(eval_section, _EVAL_KEYS, "evaluation")
-    repeats = int(eval_section.get("repeats", DEFAULT_REPEATS))
-    base_seed = int(eval_section.get("base_seed", seed))
-    pipelines = []
-    for i, entry in enumerate(eval_section.get("pipelines", [])):
-        _check_keys(entry, _PIPELINE_KEYS, f"evaluation.pipelines[{i}]")
-        try:
-            algorithm = Algorithm(entry["algorithm"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(
-                f"evaluation.pipelines[{i}]: missing or unknown algorithm"
-            ) from exc
-        spec = None
-        grid = None
-        if "hyperparameters" in entry:
-            spec = RegressorSpec(algorithm, dict(entry["hyperparameters"]), base_seed)
-        elif "grid" in entry:
-            grid = HyperGrid(algorithm, {k: list(v) for k, v in entry["grid"].items()})
-        try:
-            pipelines.append(PipelineConfig(
-                algorithm=algorithm,
-                normalizer=NormalizerKind(entry.get("normalizer", "none")),
-                selection=entry.get("selection", "none"),
-                spec=spec,
-                grid=grid,
-                repeats=int(entry.get("repeats", repeats)),
-                base_seed=base_seed,
-            ))
-        except ValueError as exc:
-            raise ConfigError(f"evaluation.pipelines[{i}]: {exc}") from exc
-
-    out_dir = Path(out_override or doc.get("out_dir", "runs/out"))
-    return RunConfig(
-        crawl=crawl,
-        filter_policy=filter_policy,
-        keywords=keywords,
-        pipelines=tuple(pipelines),
-        window_days=window_days,
-        out_dir=out_dir,
-        seed=seed,
-        repeats=repeats,
-    )
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return _section(doc, "top level", _TOP_KEYS,
+                    lambda top: _run_config(top, seed_override, out_override))

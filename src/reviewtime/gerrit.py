@@ -291,21 +291,20 @@ class GerritClient:
                 continue  # fall back to per-file segment classification
         return diffs
 
-    def iter_changes(self, max_changes: int | None = None) -> Iterator[dict]:
-        """Yield change-listing documents across pages, bounded by max_changes."""
-        limit = max_changes if max_changes is not None else self.config.max_changes
+    def iter_pages(self) -> Iterator[list[dict]]:
+        """Yield the change listing page by page, bounded by ``max_changes``."""
+        limit = self.config.max_changes
         offset = 0
-        yielded = 0
         while True:
             page, more = self.fetch_change_page(offset)
-            for raw in page:
-                yield raw.data
-                yielded += 1
-                if limit is not None and yielded >= limit:
-                    return
-            if not more or not page:
+            docs = [raw.data for raw in page]
+            if limit is not None and offset + len(docs) >= limit:
+                yield docs[:limit - offset]
                 return
-            offset += len(page)
+            yield docs
+            if not more or not docs:
+                return
+            offset += len(docs)
 
 
 def _first_revision(doc: dict) -> dict | None:
@@ -415,7 +414,8 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
 
     Appends incrementally and skips change numbers already present in the
     output file, so an interrupted crawl can be resumed by re-running.  Detail
-    fetches may run concurrently (``jobs``); writes are serialized.
+    fetches may run concurrently (``jobs``), at most one listing page of them
+    ahead of the writer; writes are serialized.
     Returns the final DatasetManifest.
     """
     from . import dataset as ds
@@ -440,18 +440,20 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
     def fetch_and_normalize(number: int) -> ChangeRecord:
         return normalize_change(client.fetch_change_detail(number), config)
 
-    numbers = (doc["_number"] for doc in client.iter_changes())
-    pending = (n for n in numbers if n not in seen)
     exhausted = False
     try:
         # at jobs=1 no thread starts: the built-in map fetches in this thread
         with (ds.dataset_appender(output_path) as append,
               ThreadPoolExecutor(jobs) if jobs > 1 else nullcontext() as pool):
-            for record in (pool.map if pool else map)(fetch_and_normalize, pending):
-                append(record)
-                seen.add(record.number)
-                manifest = replace(manifest, count=len(seen),
-                                   project=record.project or manifest.project)
+            # Executor.map drains its input up front, so fetch one listing
+            # page at a time: the next page is listed after this one is written
+            for page in client.iter_pages():
+                numbers = [doc["_number"] for doc in page if doc["_number"] not in seen]
+                for record in (pool.map if pool else map)(fetch_and_normalize, numbers):
+                    append(record)
+                    seen.add(record.number)
+                    manifest = replace(manifest, count=len(seen),
+                                       project=record.project or manifest.project)
         exhausted = True
     finally:
         manifest = replace(manifest, count=len(seen), complete=exhausted)

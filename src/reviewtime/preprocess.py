@@ -78,7 +78,8 @@ def chronological_split(n: int, holdout_fraction: float = 0.2) -> tuple[slice, s
     return slice(0, n - holdout), slice(n - holdout, n)
 
 
-def _validation_mae(spec, X: np.ndarray, y: np.ndarray) -> float:
+def holdout_mae(spec, X: np.ndarray, y: np.ndarray) -> float:
+    """MAE of ``spec`` fitted on the leading rows and scored on the holdout."""
     from .regressors import fit
 
     fit_part, val_part = chronological_split(X.shape[0])
@@ -111,7 +112,7 @@ def rfe_select(estimator_spec, X: np.ndarray, y: np.ndarray,
     fit_part, _ = chronological_split(X.shape[0])
     while len(current) >= max(1, min_features):
         cols = np.array(current)
-        steps.append((len(current), _validation_mae(estimator_spec, X[:, cols], y)))
+        steps.append((len(current), holdout_mae(estimator_spec, X[:, cols], y)))
         best_sets[len(current)] = list(current)
         if len(current) == max(1, min_features):
             break
@@ -148,7 +149,7 @@ def sequential_forward_select(estimator_spec, X: np.ndarray, y: np.ndarray,
         candidate_scores = []
         for j in remaining:
             cols = np.array(chosen + [j])
-            candidate_scores.append((_validation_mae(estimator_spec, X[:, cols], y), j))
+            candidate_scores.append((holdout_mae(estimator_spec, X[:, cols], y), j))
         mae, j = min(candidate_scores, key=lambda s: (s[0], s[1]))
         if np.isfinite(best_mae) and mae >= best_mae * (1.0 - min_relative_improvement):
             break

@@ -189,9 +189,7 @@ def grid_search(algorithm: Algorithm, grid: HyperGrid, X: np.ndarray,
     80% and scores on the trailing 20%.  Ties keep the first point in grid
     iteration order; points whose fit raises are skipped.
     """
-    from . import fit
-    from ..preprocess import chronological_split
-    from ..errors import EmptyTrainingSetError
+    from ..preprocess import chronological_split, holdout_mae
 
     algorithm = Algorithm(algorithm)
     if grid.algorithm is not algorithm:
@@ -199,7 +197,7 @@ def grid_search(algorithm: Algorithm, grid: HyperGrid, X: np.ndarray,
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     try:
-        fit_part, val_part = chronological_split(X.shape[0])
+        chronological_split(X.shape[0])
     except EmptyTrainingSetError as exc:
         raise AllPointsFailedError(f"cannot split training data: {exc}") from exc
     best: tuple[float, int, RegressorSpec] | None = None
@@ -207,12 +205,10 @@ def grid_search(algorithm: Algorithm, grid: HyperGrid, X: np.ndarray,
     for order, params in enumerate(grid.points()):
         spec = RegressorSpec(algorithm, params, seed)
         try:
-            model = fit(spec, X[fit_part], y[fit_part])
-            pred = model.predict(X[val_part])
+            mae = holdout_mae(spec, X, y)
         except Exception as exc:  # noqa: BLE001 - per-point failures are skipped
             failures.append(f"{params}: {exc}")
             continue
-        mae = float(np.mean(np.abs(pred - y[val_part])))
         if best is None or mae < best[0]:
             best = (mae, order, spec)
     if best is None:

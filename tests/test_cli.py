@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import time
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from conftest import make_record
 
+from reviewtime import dataset as ds
 from reviewtime.cli import build_parser, main
 from reviewtime.config import load_run_config
 from reviewtime.errors import ConfigError
@@ -71,6 +75,30 @@ class TestConfig:
         code = main(["filter", "--config", str(path), "--in", "x.jsonl"])
         assert code == 2
         assert "sede" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"evaluation": {"pipelines": [
+            {"algorithm": "GB", "hyperparameters": {"depth": 3}}]}},
+         "evaluation.pipelines[0]"),
+        ({"evaluation": {"pipelines": [{"algorithm": "KNN", "grid": {"k": []}}]}},
+         "evaluation.pipelines[0]"),
+        ({"evaluation": {"pipelines": [{"algorithm": "KNN", "grid": {"kk": [1]}}]}},
+         "evaluation.pipelines[0]"),
+        ({"features": {"window_days": "abc"}}, "features"),
+        ({"seed": "x"}, "top level"),
+        ({"filter": 3}, "filter"),
+        ({"crawl": {"base_url": 5}}, "crawl"),
+    ])
+    def test_malformed_value_is_a_config_error(self, tmp_path, capsys, doc, where):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            load_run_config(path)
+        assert str(exc.value).startswith(where)
+        code = main(["filter", "--config", str(path), "--in", "x.jsonl",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["filter", "--in", "x.jsonl"],
@@ -173,3 +201,24 @@ class TestCommands:
                      "--in", str(tmp_path / "absent.jsonl"),
                      "--out", str(tmp_path / "out")])
         assert code == 1
+
+    def test_meta_records_start_time(self, tmp_path, monkeypatch):
+        ds.write_dataset([make_record()], tmp_path / "in.jsonl")
+        read = ds.read_dataset
+
+        def slow_read(path):
+            time.sleep(0.5)
+            return read(path)
+
+        monkeypatch.setattr(ds, "read_dataset", slow_read)
+        out = tmp_path / "out"
+        config_path = write_config(tmp_path / "c.json", out_dir=str(out))
+        assert main(["filter", "--config", str(config_path),
+                     "--in", str(tmp_path / "in.jsonl")]) == 0
+        returned = datetime.now(timezone.utc)
+        meta = json.loads((out / "meta" / "filter.json").read_text())
+        started = datetime.fromisoformat(meta["started_at"])
+        assert meta["duration_seconds"] >= 0.5
+        # the duration is rounded to the millisecond
+        finished = started + timedelta(seconds=meta["duration_seconds"] - 0.001)
+        assert finished <= returned

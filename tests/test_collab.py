@@ -249,9 +249,3 @@ class TestProperties:
             value = eigenvector_centrality(g, v)
             assert 0.0 <= value <= 1.0 + 1e-12
 
-
-class TestEdgeListDump:
-    def test_dump_format(self, tmp_path):
-        collab.write_edge_list(TRIANGLE, tmp_path / "g.txt")
-        lines = (tmp_path / "g.txt").read_text().splitlines()
-        assert lines == ["1 2 1", "1 3 1", "2 3 1"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import pytest
@@ -284,3 +285,28 @@ class TestCrawl:
         assert manifest.count == 25
         records, _ = ds.read_dataset(tmp_path / "c.jsonl")
         assert len({r.number for r in records}) == 25
+
+    def test_parallel_crawl_writes_before_listing_ends(self, tmp_path, monkeypatch):
+        from reviewtime.gerrit_fixture import FixtureGerritServer, generate_corpus
+
+        events = []
+        list_page = GerritClient.fetch_change_page
+        appender = ds.dataset_appender
+
+        def logged_list_page(client, offset):
+            events.append("list")
+            return list_page(client, offset)
+
+        @contextmanager
+        def logged_appender(path):
+            with appender(path) as append:
+                yield lambda record: (events.append("write"), append(record))
+
+        monkeypatch.setattr(GerritClient, "fetch_change_page", logged_list_page)
+        monkeypatch.setattr(ds, "dataset_appender", logged_appender)
+        with FixtureGerritServer(generate_corpus(60, seed=1)) as server:
+            config = make_config(server.base_url, page_size=10)
+            manifest = crawl_project(config, tmp_path / "c.jsonl", jobs=2)
+        assert manifest.count == 60 and events.count("list") >= 6
+        last_list = len(events) - 1 - events[::-1].index("list")
+        assert events.index("write") < last_list
