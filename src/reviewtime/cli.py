@@ -94,31 +94,49 @@ def cmd_featurize(config: RunConfig, args) -> dict:
     return {"rows": len(matrix)}
 
 
+def _fmt(value: float | None, spec: str) -> str:
+    """A summary statistic, or ``n/a`` when no iteration succeeded."""
+    return "n/a" if value is None else format(value, spec)
+
+
 def cmd_evaluate(config: RunConfig, args) -> None:
     out = config.out_dir
     data = FeatureMatrix.from_csv(args.features)
     summaries = {}
+    all_failed = []
     for pipeline in _pipelines(config):
         result = run_online_validation(data, pipeline)
         name = pipeline.algorithm.value
         result.to_csv(out / f"eval_{name}.csv")
-        summaries[name] = result.summary()
-        print(f"{name}: mae mean {summaries[name]['mae']['mean']:.3f} "
-              f"(median {summaries[name]['mae']['median']:.3f}), "
-              f"sa mean {summaries[name]['sa']['mean']:.2f}")
+        summary = summaries[name] = result.summary()
+        print(f"{name}: mae mean {_fmt(summary['mae']['mean'], '.3f')} "
+              f"(median {_fmt(summary['mae']['median'], '.3f')}), "
+              f"sa mean {_fmt(summary['sa']['mean'], '.2f')}")
+        if result.records and result.failures == len(result.records):
+            all_failed.append(f"{name} ({result.records[0].error})")
     (out / "eval_summary.json").write_text(
         json.dumps(summaries, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    if all_failed:
+        raise ReviewTimeError("every iteration failed for "
+                              + "; ".join(all_failed))
 
 
 def cmd_compare(config: RunConfig, args) -> None:
     out = config.out_dir
-    samples = {}
+    keyed = {}
     for path in args.results:
         result = EvalResult.from_csv(path)
-        name = Path(path).stem.removeprefix("eval_")
-        samples[name] = result.metric("mae")
-    if len(samples) < 2:
+        keyed[Path(path).stem.removeprefix("eval_")] = {
+            (r.repeat, r.iteration): r.mae for r in result.records if not r.failed}
+    if len(keyed) < 2:
         raise ReviewTimeError("compare needs at least two result files")
+    # pair the samples by (repeat, iteration), on the keys every file scored
+    keys = sorted(set.intersection(*(set(maes) for maes in keyed.values())))
+    dropped = sorted(set().union(*keyed.values()) - set(keys))
+    if dropped:
+        print(f"dropped (repeat, iteration) keys not scored in every file: "
+              f"{dropped}")
+    samples = {name: [maes[k] for k in keys] for name, maes in keyed.items()}
     comparisons = compare_pairwise(samples)
     _write_comparisons(out / "comparisons.csv", comparisons)
     lines = ["| pair | W | p | p(adj) | significant | delta | magnitude |",
@@ -187,8 +205,9 @@ def cmd_report(config: RunConfig, args) -> dict:
         for name in sorted(summaries):
             s = summaries[name]
             lines.append(
-                f"| {name} | {s['mae']['mean']:.3f} | {s['mae']['median']:.3f} "
-                f"| {s['mre']['mean']:.3f} | {s['sa']['mean']:.2f} |")
+                f"| {name} | {_fmt(s['mae']['mean'], '.3f')} "
+                f"| {_fmt(s['mae']['median'], '.3f')} "
+                f"| {_fmt(s['mre']['mean'], '.3f')} | {_fmt(s['sa']['mean'], '.2f')} |")
     (run_dir / "report.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"report covering {len(artifacts)} artifacts -> {run_dir / 'report.md'}")
     return {"artifacts": len(artifacts)}

@@ -1,9 +1,12 @@
 """CART regression tree with variance-reduction splitting.
 
-Thresholds are midpoints between consecutive distinct sorted values; equal
-split gains resolve to the lowest feature index, then the lowest threshold,
-so fitting is fully deterministic.  Serves as the base learner for the
-forest and boosting ensembles.
+Thresholds are midpoints between consecutive distinct sorted values.  Each
+node scores every candidate feature in one vectorized pass.  Within one
+feature, exact gain ties go to the lowest threshold; across features, a
+later candidate replaces the best so far only if its gain is larger by more
+than ``_GAIN_EPS``, so gains within ``_GAIN_EPS`` go to the earlier feature.
+Fitting is therefore fully deterministic.  Serves as the base learner for
+the forest and boosting ensembles.
 """
 
 from __future__ import annotations
@@ -55,56 +58,47 @@ class RegressionTree:
     def _grow(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int) -> int:
         node = self._new_node()
         sub_y = y[idx]
-        self.value[node] = float(sub_y.mean())
         n = idx.size
+        total = sub_y.sum()
+        self.value[node] = float(total / n)  # == sub_y.mean(), bit for bit
         if (self.max_depth is not None and depth >= self.max_depth) \
                 or n < 2 * self.min_samples_leaf:
             return node
-        total = sub_y.sum()
         total_sq = (sub_y ** 2).sum()
         parent_sse = total_sq - total * total / n
         if parent_sse <= _GAIN_EPS:
             return node
-        best_gain = 0.0
-        best_feature = -1
-        best_threshold = 0.0
-        for f in self._candidate_features(X.shape[1]):
-            col = X[idx, f]
-            order = np.argsort(col, kind="stable")
-            v = col[order]
-            sy = sub_y[order]
-            cum = np.cumsum(sy)
-            cum_sq = np.cumsum(sy ** 2)
-            counts = np.arange(1, n)
-            distinct = v[1:] > v[:-1]
-            lo = self.min_samples_leaf
-            hi = n - self.min_samples_leaf
-            valid = distinct & (counts >= lo) & (counts <= hi)
-            if not valid.any():
-                continue
-            left_sse = cum_sq[:-1] - cum[:-1] ** 2 / counts
-            right_counts = n - counts
-            right_sum = total - cum[:-1]
-            right_sse = (total_sq - cum_sq[:-1]) - right_sum ** 2 / right_counts
-            gains = parent_sse - (left_sse + right_sse)
-            gains[~valid] = -np.inf
-            pos = int(np.argmax(gains))  # first max: lowest threshold wins ties
-            gain = float(gains[pos])
+        feats = self._candidate_features(X.shape[1])
+        cols = X[idx[:, None], feats]
+        order = np.argsort(cols, axis=0, kind="stable")
+        columns = np.arange(feats.size)
+        v = cols[order, columns]
+        sy = sub_y[order]
+        cum = np.cumsum(sy, axis=0)[:-1]
+        cum_sq = np.cumsum(sy ** 2, axis=0)[:-1]
+        counts = np.arange(1, n)[:, None]
+        lo = self.min_samples_leaf
+        valid = (v[1:] > v[:-1]) & (counts >= lo) & (counts <= n - lo)
+        left_sse = cum_sq - cum ** 2 / counts
+        right_sse = (total_sq - cum_sq) - (total - cum) ** 2 / (n - counts)
+        gains = np.where(valid, parent_sse - (left_sse + right_sse), -np.inf)
+        pos = gains.argmax(axis=0)  # first max: lowest threshold wins ties
+        best_gain, best = 0.0, -1
+        # a later feature must beat the best so far by more than _GAIN_EPS
+        for j, gain in enumerate(gains[pos, columns].tolist()):
             if gain > best_gain + _GAIN_EPS:
                 best_gain = gain
-                best_feature = int(f)
-                best_threshold = float((v[pos] + v[pos + 1]) / 2.0)
-        if best_feature < 0:
+                best = j
+        if best < 0:
             return node
+        best_feature = int(feats[best])
+        best_threshold = float((v[pos[best], best] + v[pos[best] + 1, best]) / 2.0)
         self.importances_[best_feature] += best_gain
-        col = X[idx, best_feature]
-        go_left = col <= best_threshold
-        left_idx = idx[go_left]
-        right_idx = idx[~go_left]
+        go_left = X[idx, best_feature] <= best_threshold
         self.feature[node] = best_feature
         self.threshold[node] = best_threshold
-        self.left[node] = self._grow(X, y, left_idx, depth + 1)
-        self.right[node] = self._grow(X, y, right_idx, depth + 1)
+        self.left[node] = self._grow(X, y, idx[go_left], depth + 1)
+        self.right[node] = self._grow(X, y, idx[~go_left], depth + 1)
         return node
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
-from conftest import make_record
+from conftest import make_record, synthetic_matrix
 
 from reviewtime import dataset as ds
 from reviewtime.cli import build_parser, main
 from reviewtime.config import load_run_config
 from reviewtime.errors import ConfigError
+from reviewtime.evaluation import EvalRecord, EvalResult
+from reviewtime.stats import compare_pairwise
 
 
 def write_config(path: Path, base_url: str | None = None, repeats: int = 2,
@@ -222,3 +226,49 @@ class TestCommands:
         # the duration is rounded to the millisecond
         finished = started + timedelta(seconds=meta["duration_seconds"] - 0.001)
         assert finished <= returned
+
+    def test_evaluate_with_every_iteration_failed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        synthetic_matrix(n=60).to_csv(tmp_path / "features.csv")
+        config_path = write_config(
+            tmp_path / "c.json", out_dir=str(out),
+            pipelines=[{"algorithm": "KNN", "hyperparameters": {"k": "x"}}])
+        code = main(["evaluate", "--config", str(config_path),
+                     "--features", str(tmp_path / "features.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "KNN" in err
+        records = EvalResult.from_csv(out / "eval_KNN.csv").records
+        assert records and all(r.failed for r in records)
+        assert records[0].error in err
+        summary = json.loads((out / "eval_summary.json").read_text())
+        assert summary["KNN"]["mae"] == {"mean": None, "median": None}
+        assert main(["report", "--config", str(config_path)]) == 0
+        assert "| KNN | n/a | n/a | n/a | n/a |" in (out / "report.md").read_text()
+
+    def test_compare_pairs_samples_by_key(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        maes = {"A": rng.uniform(5, 10, 10), "B": rng.uniform(5, 10, 10)}
+        failed_at = {"A": {(0, 1)}, "B": {(1, 3)}}
+        for name, values in maes.items():
+            records = []
+            for i, value in enumerate(values):
+                key = divmod(i, 5)
+                failed = key in failed_at[name]
+                records.append(EvalRecord(
+                    *key, float("nan") if failed else float(value), 0.5, 0.1,
+                    20, 5, (0, 20), (20, 25), failed, "boom" if failed else ""))
+            EvalResult(name, records).to_csv(tmp_path / f"eval_{name}.csv")
+        out = tmp_path / "out"
+        config_path = write_config(tmp_path / "c.json", out_dir=str(out))
+        assert main(["compare", "--config", str(config_path),
+                     str(tmp_path / "eval_A.csv"), str(tmp_path / "eval_B.csv")]) == 0
+        assert "[(0, 1), (1, 3)]" in capsys.readouterr().out
+        kept = [i for i in range(10) if i not in (1, 8)]
+        expected = compare_pairwise({name: values[kept]
+                                     for name, values in maes.items()})[0]
+        with (out / "comparisons.csv").open() as fh:
+            row = list(csv.DictReader(fh))[0]
+        assert float(row["w"]) == expected.w_statistic
+        assert float(row["p_value"]) == expected.p_value
+        assert float(row["cliffs_d"]) == expected.cliffs_d

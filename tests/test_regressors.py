@@ -21,6 +21,7 @@ from reviewtime.regressors import (
     supports_importance,
 )
 from reviewtime.regressors.mlp import init_params, loss_and_gradients
+from reviewtime.regressors.tree import _GAIN_EPS, RegressionTree
 
 
 def linear_data(seed=0, n=50, p=5, noise=0.0, intercept=1.0):
@@ -220,6 +221,77 @@ class TestTrees:
             assert ta.feature == tb.feature
             assert ta.left == tb.left and ta.right == tb.right
             np.testing.assert_allclose(ta.value, tb.value, atol=1e-9)
+
+    @pytest.mark.parametrize("data", ["random", "tied", "single_column",
+                                      "constant_target"])
+    @pytest.mark.parametrize("params", [
+        {},
+        {"max_depth": 3},
+        {"min_samples_leaf": 4},
+        {"max_depth": 5, "min_samples_leaf": 2, "max_features": 2},
+        {"max_features": 1},
+    ])
+    def test_split_search_matches_per_feature_loop(self, data, params):
+        rng = np.random.default_rng(11)
+        n = 70
+        if data == "random":
+            X, y = rng.normal(size=(n, 5)), rng.uniform(0, 100, n)
+        elif data == "tied":
+            X = rng.integers(0, 3, size=(n, 5)).astype(float)
+            y = 10.0 * rng.integers(0, 4, n)
+        elif data == "single_column":
+            X, y = np.round(rng.normal(size=(n, 1)), 1), rng.gamma(2.0, 20.0, n)
+        else:
+            X, y = rng.normal(size=(n, 5)), np.full(n, 42.0)
+        fitted = [cls(**params, rng=np.random.default_rng(5)).fit(X, y)
+                  for cls in (RegressionTree, PerFeatureLoopTree)]
+        for attr in ("feature", "threshold", "left", "right", "value"):
+            assert getattr(fitted[0], attr) == getattr(fitted[1], attr), attr
+        assert fitted[0].importances_.tolist() == fitted[1].importances_.tolist()
+
+
+class PerFeatureLoopTree(RegressionTree):
+    """Reference split search: one sort and one gain vector per feature."""
+
+    def _grow(self, X, y, idx, depth):
+        node = self._new_node()
+        sub_y = y[idx]
+        self.value[node] = float(sub_y.mean())
+        n = idx.size
+        if (self.max_depth is not None and depth >= self.max_depth) \
+                or n < 2 * self.min_samples_leaf:
+            return node
+        total, total_sq = sub_y.sum(), (sub_y ** 2).sum()
+        parent_sse = total_sq - total * total / n
+        if parent_sse <= _GAIN_EPS:
+            return node
+        best_gain, best_feature, best_threshold = 0.0, -1, 0.0
+        counts = np.arange(1, n)
+        lo, hi = self.min_samples_leaf, n - self.min_samples_leaf
+        for f in self._candidate_features(X.shape[1]):
+            order = np.argsort(X[idx, f], kind="stable")
+            v, sy = X[idx, f][order], sub_y[order]
+            cum, cum_sq = np.cumsum(sy)[:-1], np.cumsum(sy ** 2)[:-1]
+            valid = (v[1:] > v[:-1]) & (counts >= lo) & (counts <= hi)
+            if not valid.any():
+                continue
+            left_sse = cum_sq - cum ** 2 / counts
+            right_sse = (total_sq - cum_sq) - (total - cum) ** 2 / (n - counts)
+            gains = parent_sse - (left_sse + right_sse)
+            gains[~valid] = -np.inf
+            pos = int(np.argmax(gains))
+            if gains[pos] > best_gain + _GAIN_EPS:
+                best_gain, best_feature = float(gains[pos]), int(f)
+                best_threshold = float((v[pos] + v[pos + 1]) / 2.0)
+        if best_feature < 0:
+            return node
+        self.importances_[best_feature] += best_gain
+        go_left = X[idx, best_feature] <= best_threshold
+        self.feature[node] = best_feature
+        self.threshold[node] = best_threshold
+        self.left[node] = self._grow(X, y, idx[go_left], depth + 1)
+        self.right[node] = self._grow(X, y, idx[~go_left], depth + 1)
+        return node
 
 
 class TestEnsembles:
