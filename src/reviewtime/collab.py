@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,18 +59,6 @@ class CollabFeatures:
     eigenvector_centrality: float = 0.0
     clustering_coefficient: float = 0.0
     core_number: int = 0
-
-
-def graph_from_edges(edges: Iterable[tuple[int, int]],
-                     extra_nodes: Iterable[int] = ()) -> InteractionGraph:
-    """Build a graph from unweighted edge pairs (test/debug convenience)."""
-    weights: dict[tuple[int, int], int] = {}
-    nodes = set(extra_nodes)
-    for u, v in edges:
-        key = (u, v) if u < v else (v, u)
-        weights[key] = weights.get(key, 0) + 1
-        nodes.update(key)
-    return InteractionGraph(nodes=frozenset(nodes), edges=weights)
 
 
 def build_graph(history: Sequence[ChangeRecord], as_of: datetime,

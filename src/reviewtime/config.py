@@ -64,11 +64,20 @@ def _dataclass_section(doc: dict, key: str, cls: Callable[..., T]) -> T:
                     lambda section: cls(**section))
 
 
+def _count(value, name: str) -> int:
+    """``value`` if it is an integer of at least 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _pipeline(entry: dict, repeats: int, base_seed: int) -> PipelineConfig:
     try:
         algorithm = Algorithm(entry.get("algorithm"))
     except ValueError:
         raise ValueError("missing or unknown algorithm") from None
+    if "hyperparameters" in entry and "grid" in entry:
+        raise ValueError("give either hyperparameters or grid, not both")
     spec = grid = None
     if "hyperparameters" in entry:
         spec = RegressorSpec(algorithm, dict(entry["hyperparameters"]), base_seed)
@@ -81,13 +90,13 @@ def _pipeline(entry: dict, repeats: int, base_seed: int) -> PipelineConfig:
         selection=entry.get("selection", "none"),
         spec=spec,
         grid=grid,
-        repeats=int(entry.get("repeats", repeats)),
+        repeats=_count(entry.get("repeats", repeats), "repeats"),
         base_seed=base_seed,
     )
 
 
 def _evaluation(section: dict, seed: int) -> tuple[PipelineConfig, ...]:
-    repeats = int(section.get("repeats", DEFAULT_REPEATS))
+    repeats = _count(section.get("repeats", DEFAULT_REPEATS), "repeats")
     base_seed = int(section.get("base_seed", seed))
     return tuple(
         _section(entry, f"evaluation.pipelines[{i}]", _PIPELINE_KEYS,
@@ -108,7 +117,8 @@ def _run_config(doc: dict, seed_override: int | None,
         pipelines=_section(doc.get("evaluation", {}), "evaluation", _EVAL_KEYS,
                            lambda section: _evaluation(section, seed)),
         window_days=_section(doc.get("features", {}), "features", _FEATURE_KEYS,
-                             lambda section: int(section.get("window_days", 365))),
+                             lambda section: _count(section.get("window_days", 365),
+                                                    "window_days")),
         out_dir=Path(out_override or doc.get("out_dir", "runs/out")),
         seed=seed,
     )

@@ -290,7 +290,7 @@ def existing_change_numbers(path: str | Path) -> set[int]:
 
 
 def write_dataset(records: Iterable[ChangeRecord], path: str | Path, *,
-                  project: str = "", query: str = "", complete: bool = True,
+                  project: str = "", query: str = "",
                   filter_policy: FilterPolicy | None = None,
                   segments_from_diff: bool = False) -> DatasetManifest:
     path = Path(path)
@@ -308,7 +308,7 @@ def write_dataset(records: Iterable[ChangeRecord], path: str | Path, *,
         crawl_query=query,
         created_at=datetime.now(timezone.utc),
         count=count,
-        complete=complete,
+        complete=True,
         filter_policy=filter_policy,
         segments_from_diff=segments_from_diff,
     )

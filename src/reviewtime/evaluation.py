@@ -146,9 +146,9 @@ class EvalResult:
                 ])
 
     @classmethod
-    def from_csv(cls, path: str | Path, algorithm: str = "") -> "EvalResult":
+    def from_csv(cls, path: str | Path) -> "EvalResult":
         path = Path(path)
-        result = cls(algorithm=algorithm or path.stem)
+        result = cls(algorithm=path.stem)
         with path.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:

@@ -19,6 +19,7 @@ from urllib.parse import parse_qs, unquote, urlparse
 import numpy as np
 
 _EPOCH = datetime(2020, 1, 6, 8, 0, 0, tzinfo=timezone.utc)  # a Monday
+_PROJECT = "fixture/project"
 
 _DIRS = ("core", "net", "ui", "docs", "tests")
 _EXTS = ("c", "h", "py", "rst")
@@ -62,8 +63,7 @@ def _make_diff(rng: np.random.Generator, inserted: int, deleted: int) -> dict:
     return {"content": content}
 
 
-def generate_corpus(n_changes: int = 200, seed: int = 0,
-                    project: str = "fixture/project") -> list[dict]:
+def generate_corpus(n_changes: int = 200, seed: int = 0) -> list[dict]:
     """Synthesize Gerrit change-detail documents with a planted duration signal."""
     rng = np.random.default_rng(seed)
     developers = [(100 + i, f"dev-{i:02d}") for i in range(18)]
@@ -159,9 +159,9 @@ def generate_corpus(n_changes: int = 200, seed: int = 0,
         }
 
         doc = {
-            "id": f"{project.replace('/', '%2F')}~main~I{number:06d}",
+            "id": f"{_PROJECT.replace('/', '%2F')}~main~I{number:06d}",
             "change_id": f"I{number:06d}",
-            "project": project,
+            "project": _PROJECT,
             "branch": "main",
             "_number": number,
             "status": status,

@@ -116,24 +116,20 @@ def rank_features(distributions: Mapping[str, np.ndarray]) -> EsdRanking:
     shift = -global_min if global_min < 0 else 0.0
     shifted = {name: np.asarray(d, dtype=float) + shift
                for name, d in distributions.items()}
-    return scott_knott_esd(shifted, ascending=False)
+    return scott_knott_esd(shifted)
 
 
-def dimension_ablation(data: FeatureMatrix, config: PipelineConfig,
-                       dimensions: Sequence[str] = DIMENSIONS) -> AblationResult:
+def dimension_ablation(data: FeatureMatrix, config: PipelineConfig) -> AblationResult:
     """Full-feature run against each single-dimension run, with comparisons."""
-    for dim in dimensions:
-        if dim not in DIMENSIONS:
-            raise UnknownUnitError(f"unknown dimension {dim!r}")
     results: dict[str, EvalResult] = {"all": run_online_validation(data, config)}
-    for dim in dimensions:
+    for dim in DIMENSIONS:
         columns = [n for n in dimension_features(dim) if n in data.feature_names]
         results[dim] = run_online_validation(data.restrict(columns), config)
     mae_samples = {name: _successful_mae(result) for name, result in results.items()}
     all_sample = mae_samples["all"]
-    m = len(dimensions)
+    m = len(DIMENSIONS)
     comparisons = []
-    for dim in dimensions:
+    for dim in DIMENSIONS:
         pair = compare_pairwise({"all": all_sample, dim: mae_samples[dim]}, m=m)
         comparisons.extend(pair)
     return AblationResult(results=results, comparisons=comparisons)

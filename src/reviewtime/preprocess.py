@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import EmptyTrainingSetError, UnsupportedEstimatorError
 
+HOLDOUT_FRACTION = 0.2  # trailing share of the training rows held out
+MIN_RELATIVE_IMPROVEMENT = 0.1  # forward selection's stopping margin
+
 
 class NormalizerKind(str, Enum):
     NONE = "none"
@@ -25,11 +28,15 @@ class NormalizerKind(str, Enum):
 
 @dataclass(frozen=True)
 class NormalizerSpec:
+    """Per-feature ``(x - shift) / scale``.
+
+    MINMAX shifts by the min and scales by max - min; ZSCORE shifts by the
+    mean and scales by the population std; NONE has neither.
+    """
+
     kind: NormalizerKind
-    low: np.ndarray | None = None    # per-feature min (MINMAX)
-    span: np.ndarray | None = None   # per-feature max - min (MINMAX)
-    mean: np.ndarray | None = None   # per-feature mean (ZSCORE)
-    std: np.ndarray | None = None    # per-feature population std (ZSCORE)
+    shift: np.ndarray | None = None
+    scale: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -49,31 +56,23 @@ def fit_normalizer(kind: NormalizerKind, X: np.ndarray) -> NormalizerSpec:
         return NormalizerSpec(kind)
     if kind is NormalizerKind.MINMAX:
         low = X.min(axis=0)
-        span = X.max(axis=0) - low
-        return NormalizerSpec(kind, low=low, span=span)
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    return NormalizerSpec(kind, mean=mean, std=std)
+        return NormalizerSpec(kind, shift=low, scale=X.max(axis=0) - low)
+    return NormalizerSpec(kind, shift=X.mean(axis=0), scale=X.std(axis=0))
 
 
 def apply_normalizer(spec: NormalizerSpec, X: np.ndarray) -> np.ndarray:
     if spec.kind is NormalizerKind.NONE:
         return X
-    if spec.kind is NormalizerKind.MINMAX:
-        span = np.where(spec.span == 0, 1.0, spec.span)
-        out = (X - spec.low) / span
-        # constant training columns map to 0 everywhere
-        return np.where(spec.span == 0, 0.0, out)
-    std = np.where(spec.std == 0, 1.0, spec.std)
-    out = (X - spec.mean) / std
-    return np.where(spec.std == 0, 0.0, out)
+    scale = np.where(spec.scale == 0, 1.0, spec.scale)
+    # constant training columns map to 0 everywhere
+    return np.where(spec.scale == 0, 0.0, (X - spec.shift) / scale)
 
 
-def chronological_split(n: int, holdout_fraction: float = 0.2) -> tuple[slice, slice]:
+def chronological_split(n: int) -> tuple[slice, slice]:
     """Split [0, n) into a leading fit part and a trailing holdout part."""
     if n < 2:
         raise EmptyTrainingSetError("need at least 2 rows for a chronological split")
-    holdout = max(1, int(n * holdout_fraction))
+    holdout = max(1, int(n * HOLDOUT_FRACTION))
     holdout = min(holdout, n - 1)
     return slice(0, n - holdout), slice(n - holdout, n)
 
@@ -89,7 +88,7 @@ def holdout_mae(spec, X: np.ndarray, y: np.ndarray) -> float:
 
 
 def rfe_select(estimator_spec, X: np.ndarray, y: np.ndarray,
-               feature_names: Sequence[str], min_features: int = 1) -> SelectionResult:
+               feature_names: Sequence[str]) -> SelectionResult:
     """Recursive feature elimination driven by model importance.
 
     Removes the lowest-importance feature each round, scoring every
@@ -110,11 +109,11 @@ def rfe_select(estimator_spec, X: np.ndarray, y: np.ndarray,
     steps: list[tuple[int, float]] = []
     best_sets: dict[int, list[int]] = {}
     fit_part, _ = chronological_split(X.shape[0])
-    while len(current) >= max(1, min_features):
+    while current:
         cols = np.array(current)
         steps.append((len(current), holdout_mae(estimator_spec, X[:, cols], y)))
         best_sets[len(current)] = list(current)
-        if len(current) == max(1, min_features):
+        if len(current) == 1:
             break
         model = fit(estimator_spec, X[fit_part][:, cols], y[fit_part])
         importance = model.importance
@@ -126,32 +125,29 @@ def rfe_select(estimator_spec, X: np.ndarray, y: np.ndarray,
 
 
 def sequential_forward_select(estimator_spec, X: np.ndarray, y: np.ndarray,
-                              feature_names: Sequence[str],
-                              max_features: int | None = None,
-                              min_relative_improvement: float = 0.1,
-                              ) -> SelectionResult:
+                              feature_names: Sequence[str]) -> SelectionResult:
     """Greedy forward selection on chronological-holdout MAE.
 
     Picking the best of many candidates is biased toward spurious holdout
     gains, so an addition must beat the current score by the relative margin
-    to count as an improvement; otherwise (or at ``max_features``) selection
-    stops.  Candidate ties go to canonical order.
+    ``MIN_RELATIVE_IMPROVEMENT`` to count as an improvement; otherwise (or
+    once every feature is chosen) selection stops.  Candidate ties go to
+    canonical order.
     """
     if X.shape[0] == 0:
         raise EmptyTrainingSetError("empty training set")
     names = list(feature_names)
-    limit = max_features if max_features is not None else len(names)
     chosen: list[int] = []
     remaining = list(range(len(names)))
     best_mae = np.inf
     steps: list[tuple[int, float]] = []
-    while remaining and len(chosen) < limit:
+    while remaining:
         candidate_scores = []
         for j in remaining:
             cols = np.array(chosen + [j])
             candidate_scores.append((holdout_mae(estimator_spec, X[:, cols], y), j))
         mae, j = min(candidate_scores, key=lambda s: (s[0], s[1]))
-        if np.isfinite(best_mae) and mae >= best_mae * (1.0 - min_relative_improvement):
+        if np.isfinite(best_mae) and mae >= best_mae * (1.0 - MIN_RELATIVE_IMPROVEMENT):
             break
         best_mae = mae
         chosen.append(j)

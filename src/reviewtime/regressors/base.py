@@ -8,6 +8,7 @@ since the target is a duration in hours.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
@@ -78,6 +79,25 @@ IMPORTANCE_ALGORITHMS = frozenset({
 })
 
 
+def _check_hyperparameter(algorithm: Algorithm, name: str, value) -> None:
+    """Raise ValueError for an unknown ``name`` or a ``value`` of the wrong type.
+
+    An int default takes an int and a float default an int or a float;
+    ``max_depth`` also takes None (unbounded).  A bool is never a number here.
+    """
+    if name not in ALGORITHM_PARAMS[algorithm]:
+        raise ValueError(f"unknown hyperparameter {name!r} for {algorithm.value}")
+    if name == "max_depth" and value is None:
+        return
+    if isinstance(ALGORITHM_PARAMS[algorithm][name], float):
+        expected, kind = numbers.Real, "a number"
+    else:
+        expected, kind = numbers.Integral, "an integer"
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise ValueError(f"{algorithm.value} hyperparameter {name!r} must be "
+                         f"{kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RegressorSpec:
     algorithm: Algorithm
@@ -87,13 +107,9 @@ class RegressorSpec:
     def __post_init__(self):
         algorithm = Algorithm(self.algorithm)
         object.__setattr__(self, "algorithm", algorithm)
-        allowed = ALGORITHM_PARAMS[algorithm]
-        unknown = set(self.hyperparameters) - set(allowed)
-        if unknown:
-            raise ValueError(
-                f"unknown hyperparameters for {algorithm.value}: {sorted(unknown)}"
-            )
-        merged = {**allowed, **self.hyperparameters}
+        for name, value in self.hyperparameters.items():
+            _check_hyperparameter(algorithm, name, value)
+        merged = {**ALGORITHM_PARAMS[algorithm], **self.hyperparameters}
         object.__setattr__(self, "hyperparameters", merged)
 
     def with_seed(self, seed: int) -> "RegressorSpec":
@@ -108,12 +124,10 @@ class HyperGrid:
     def __post_init__(self):
         object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
         for name, candidates in self.values.items():
-            if name not in ALGORITHM_PARAMS[self.algorithm]:
-                raise ValueError(
-                    f"unknown hyperparameter {name!r} for {self.algorithm.value}"
-                )
             if not candidates:
                 raise ValueError(f"empty candidate list for {name!r}")
+            for value in candidates:
+                _check_hyperparameter(self.algorithm, name, value)
 
     def points(self) -> list[dict]:
         if not self.values:
@@ -143,7 +157,7 @@ class TrainedModel:
         self.importance: np.ndarray | None = self.state.get("importance")
         self.flags: tuple[str, ...] = tuple(self.state.get("flags", ()))
 
-    def predict(self, X: np.ndarray, clip: bool = True) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         from . import _PREDICTORS
 
         X = np.asarray(X, dtype=float)
@@ -154,9 +168,7 @@ class TrainedModel:
             )
         pred = np.asarray(_PREDICTORS[self.spec.algorithm](self.state, X),
                           dtype=float)
-        if clip:
-            pred = np.maximum(pred, 0.0)
-        return pred
+        return np.maximum(pred, 0.0)
 
 
 def supports_importance(algorithm: Algorithm) -> bool:

@@ -217,14 +217,13 @@ def _merge_negligible(clusters: list[list[tuple[str, np.ndarray]]]) -> list[list
     return clusters
 
 
-def scott_knott_esd(groups: Mapping[str, Sequence[float]],
-                    ascending: bool = False) -> EsdRanking:
+def scott_knott_esd(groups: Mapping[str, Sequence[float]]) -> EsdRanking:
     """Rank treatment groups into statistically distinct clusters.
 
     Observations are transformed by ln(x+1) to damp skew; the Scott-Knott
     recursion splits mean-sorted groups at the chi-square criterion and
     adjacent clusters with negligible effect size (|d| < 0.2) are merged.
-    Clusters are ordered by descending transformed mean unless ``ascending``.
+    Clusters are ordered by descending transformed mean.
     """
     if len(groups) == 0:
         raise TooFewGroupsError("no groups given")
@@ -239,8 +238,7 @@ def scott_knott_esd(groups: Mapping[str, Sequence[float]],
             raise ValueError(f"group {name!r} has values <= -1; ln(x+1) undefined")
         transformed.append((name, np.log1p(arr)))
 
-    transformed.sort(key=lambda item: (-item[1].mean(), item[0]) if not ascending
-                     else (item[1].mean(), item[0]))
+    transformed.sort(key=lambda item: (-item[1].mean(), item[0]))
     if len(transformed) == 1:
         clusters = [transformed]
     else:
@@ -251,8 +249,7 @@ def scott_knott_esd(groups: Mapping[str, Sequence[float]],
 
 
 def compare_pairwise(samples: Mapping[str, Sequence[float]],
-                     m: int | None = None,
-                     alpha: float = SIGNIFICANCE_ALPHA) -> list[ComparisonResult]:
+                     m: int | None = None) -> list[ComparisonResult]:
     """All-pairs Wilcoxon + Bonferroni + Cliff's delta over paired samples."""
     names = list(samples)
     pairs = [(names[i], names[j])
@@ -276,6 +273,6 @@ def compare_pairwise(samples: Mapping[str, Sequence[float]],
     for (left, right, w, d, magnitude), p, p_adj in zip(stats_raw, p_values, adjusted):
         results.append(ComparisonResult(
             left=left, right=right, w_statistic=w, p_value=p, p_adjusted=p_adj,
-            significant=p_adj < alpha, cliffs_d=d, magnitude=magnitude,
+            significant=p_adj < SIGNIFICANCE_ALPHA, cliffs_d=d, magnitude=magnitude,
         ))
     return results

@@ -92,6 +92,29 @@ class TestConfig:
         ({"seed": "x"}, "top level"),
         ({"filter": 3}, "filter"),
         ({"crawl": {"base_url": 5}}, "crawl"),
+        ({"evaluation": {"pipelines": [
+            {"algorithm": "KNN", "hyperparameters": {"k": "x"}}]}},
+         "evaluation.pipelines[0]"),
+        ({"evaluation": {"pipelines": [
+            {"algorithm": "KNN", "hyperparameters": {"k": True}}]}},
+         "evaluation.pipelines[0]"),
+        ({"evaluation": {"pipelines": [
+            {"algorithm": "KNN", "hyperparameters": {"k": 2.5}}]}},
+         "evaluation.pipelines[0]"),
+        ({"evaluation": {"pipelines": [
+            {"algorithm": "RR", "hyperparameters": {"alpha": False}}]}},
+         "evaluation.pipelines[0]"),
+        ({"evaluation": {"pipelines": [{"algorithm": "KNN", "grid": {"k": ["x", 3]}}]}},
+         "evaluation.pipelines[0]"),
+        ({"evaluation": {"pipelines": [
+            {"algorithm": "KNN", "hyperparameters": {"k": 3}, "grid": {"k": [1, 5]}}]}},
+         "evaluation.pipelines[0]"),
+        ({"evaluation": {"repeats": 2.7}}, "evaluation"),
+        ({"evaluation": {"repeats": True}}, "evaluation"),
+        ({"evaluation": {"pipelines": [{"algorithm": "LR", "repeats": 1.5}]}},
+         "evaluation.pipelines[0]"),
+        ({"features": {"window_days": 0}}, "features"),
+        ({"features": {"window_days": -5}}, "features"),
     ])
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, doc, where):
         path = tmp_path / "c.json"
@@ -103,6 +126,15 @@ class TestConfig:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_numeric_hyperparameters_load(self, tmp_path):
+        path = write_config(tmp_path / "c.json", pipelines=[
+            {"algorithm": "RR", "hyperparameters": {"alpha": 1}},
+            {"algorithm": "DT", "grid": {"max_depth": [None, 4]}},
+        ])
+        rr, dt = load_run_config(path).pipelines
+        assert rr.spec.hyperparameters["alpha"] == 1
+        assert dt.grid.points() == [{"max_depth": None}, {"max_depth": 4}]
 
     @pytest.mark.parametrize("argv", [
         ["filter", "--in", "x.jsonl"],
@@ -229,10 +261,12 @@ class TestCommands:
 
     def test_evaluate_with_every_iteration_failed(self, tmp_path, capsys):
         out = tmp_path / "out"
-        synthetic_matrix(n=60).to_csv(tmp_path / "features.csv")
+        data = synthetic_matrix(n=60)
+        data.X[:, 0] = np.nan  # every training set is non-finite
+        data.to_csv(tmp_path / "features.csv")
         config_path = write_config(
             tmp_path / "c.json", out_dir=str(out),
-            pipelines=[{"algorithm": "KNN", "hyperparameters": {"k": "x"}}])
+            pipelines=[{"algorithm": "KNN", "hyperparameters": {"k": 3}}])
         code = main(["evaluate", "--config", str(config_path),
                      "--features", str(tmp_path / "features.csv")])
         err = capsys.readouterr().err

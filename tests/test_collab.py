@@ -21,11 +21,22 @@ from reviewtime.collab import (
     core_number,
     degree_centrality,
     eigenvector_centrality,
-    graph_from_edges,
 )
 
 import graph_oracles as oracle
 from conftest import BASE_TIME, make_message, make_record
+
+
+def graph_from_edges(edges, extra_nodes=()) -> InteractionGraph:
+    """A graph from unweighted edge pairs, counting repeated pairs as weight."""
+    weights: dict[tuple[int, int], int] = {}
+    nodes = set(extra_nodes)
+    for u, v in edges:
+        key = (u, v) if u < v else (v, u)
+        weights[key] = weights.get(key, 0) + 1
+        nodes.update(key)
+    return InteractionGraph(nodes=frozenset(nodes), edges=weights)
+
 
 TRIANGLE = graph_from_edges([(1, 2), (2, 3), (1, 3)])
 STAR = graph_from_edges([(0, 1), (0, 2), (0, 3)])

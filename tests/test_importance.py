@@ -188,8 +188,3 @@ class TestDimensionAblation:
         ablation = dimension_ablation(data, config)
         standalone = run_online_validation(data, config)
         assert ablation.results["all"].records == standalone.records
-
-    def test_unknown_dimension(self):
-        data = synthetic_matrix(n=60)
-        with pytest.raises(UnknownUnitError):
-            dimension_ablation(data, lr_config(repeats=1), dimensions=("nope",))

@@ -266,12 +266,6 @@ class TestScottKnottEsd:
         r2 = scott_knott_esd({"z": samples[2], "x": samples[0], "y": samples[1]})
         assert r1.clusters == r2.clusters
 
-    def test_ascending_order(self):
-        rng = np.random.default_rng(3)
-        groups = {"small": rng.normal(1, 0.1, 20), "big": rng.normal(100, 1, 20)}
-        ranking = scott_knott_esd(groups, ascending=True)
-        assert ranking.clusters[0] == ("small",)
-
     def test_rank_of(self):
         rng = np.random.default_rng(4)
         groups = {"small": rng.normal(1, 0.1, 20), "big": rng.normal(100, 1, 20)}
