@@ -71,6 +71,13 @@ def _count(value, name: str) -> int:
     return value
 
 
+def _seed(value, name: str) -> int:
+    """``value`` if it is an integer of at least 0; a bool is not a seed."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def _pipeline(entry: dict, repeats: int, base_seed: int) -> PipelineConfig:
     try:
         algorithm = Algorithm(entry.get("algorithm"))
@@ -97,7 +104,7 @@ def _pipeline(entry: dict, repeats: int, base_seed: int) -> PipelineConfig:
 
 def _evaluation(section: dict, seed: int) -> tuple[PipelineConfig, ...]:
     repeats = _count(section.get("repeats", DEFAULT_REPEATS), "repeats")
-    base_seed = int(section.get("base_seed", seed))
+    base_seed = _seed(section.get("base_seed", seed), "base_seed")
     return tuple(
         _section(entry, f"evaluation.pipelines[{i}]", _PIPELINE_KEYS,
                  lambda e: _pipeline(e, repeats, base_seed))
@@ -106,9 +113,8 @@ def _evaluation(section: dict, seed: int) -> tuple[PipelineConfig, ...]:
 
 def _run_config(doc: dict, seed_override: int | None,
                 out_override: str | None) -> RunConfig:
-    seed = int(doc.get("seed", 0))
-    if seed_override is not None:
-        seed = seed_override
+    seed = _seed(doc.get("seed", 0) if seed_override is None else seed_override,
+                 "seed")
     crawl = _dataclass_section(doc, "crawl", CrawlConfig) if "crawl" in doc else None
     return RunConfig(
         crawl=crawl,

@@ -39,6 +39,10 @@ class FilterPolicy:
     def __post_init__(self):
         if not (0 <= self.min_hours < self.max_hours):
             raise ValueError("require 0 <= min_hours < max_hours")
+        for name in ("drop_reopened", "drop_self_reviewed"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

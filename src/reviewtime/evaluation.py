@@ -30,6 +30,7 @@ from .preprocess import (
     sequential_forward_select,
 )
 from .regressors import (
+    LEARNERS,
     Algorithm,
     HyperGrid,
     RegressorSpec,
@@ -226,10 +227,9 @@ def _fit_iteration(data: FeatureMatrix, config: PipelineConfig, iteration: int,
     X_test = data.X[test_range[0]:test_range[1]]
     y_test = data.y[test_range[0]:test_range[1]]
 
-    # NN and SVM assume comparable feature scales
+    # some learners assume comparable feature scales
     norm_kind = config.normalizer
-    if norm_kind is NormalizerKind.NONE and config.algorithm in (Algorithm.NN,
-                                                                 Algorithm.SVM):
+    if norm_kind is NormalizerKind.NONE and LEARNERS[config.algorithm].scaled:
         norm_kind = NormalizerKind.MINMAX
     norm = fit_normalizer(norm_kind, X_train)
     X_train = apply_normalizer(norm, X_train)

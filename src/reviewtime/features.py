@@ -123,7 +123,10 @@ class KeywordPolicy:
     def __post_init__(self):
         for name in ("refactoring_keywords", "perfective_keywords",
                      "non_functional_keywords"):
-            terms = tuple(getattr(self, name))
+            terms = getattr(self, name)
+            if isinstance(terms, str) or not all(isinstance(t, str) for t in terms):
+                raise ValueError(f"{name} must be a list of strings, got {terms!r}")
+            terms = tuple(terms)
             if not terms:
                 raise ValueError(f"{name} must be non-empty")
             if any(t != t.lower() for t in terms):

@@ -74,6 +74,13 @@ class CrawlConfig:
             raise ValueError("base_url must be an absolute http(s) URL")
         if self.max_changes is not None and self.max_changes < 1:
             raise ValueError("max_changes must be >= 1 when set")
+        if isinstance(self.bot_accounts, str) \
+                or not all(isinstance(a, str) for a in self.bot_accounts):
+            raise ValueError(f"bot_accounts must be a list of strings, "
+                             f"got {self.bot_accounts!r}")
+        if not isinstance(self.fetch_file_diffs, bool):
+            raise ValueError(f"fetch_file_diffs must be true or false, "
+                             f"got {self.fetch_file_diffs!r}")
         object.__setattr__(self, "bot_accounts", tuple(self.bot_accounts))
 
 

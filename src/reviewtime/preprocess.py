@@ -1,9 +1,9 @@
 """Feature normalization and selection, fitted exclusively on training rows.
 
-Inner validation for selection (and for hyperparameter grids, see
-``regressors.grid_search``) uses a chronological last-20% holdout of the
-training data: rows are assumed sorted by creation time, so random splits
-would leak future information.
+Inner validation for selection, as for hyperparameter grids, is
+``regressors.holdout_mae``: a chronological last-20% holdout of the training
+data.  Rows are assumed sorted by creation time, so random splits would leak
+future information.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyTrainingSetError, UnsupportedEstimatorError
+from .regressors import chronological_split, fit, holdout_mae, supports_importance
 
-HOLDOUT_FRACTION = 0.2  # trailing share of the training rows held out
 MIN_RELATIVE_IMPROVEMENT = 0.1  # forward selection's stopping margin
 
 
@@ -68,25 +68,6 @@ def apply_normalizer(spec: NormalizerSpec, X: np.ndarray) -> np.ndarray:
     return np.where(spec.scale == 0, 0.0, (X - spec.shift) / scale)
 
 
-def chronological_split(n: int) -> tuple[slice, slice]:
-    """Split [0, n) into a leading fit part and a trailing holdout part."""
-    if n < 2:
-        raise EmptyTrainingSetError("need at least 2 rows for a chronological split")
-    holdout = max(1, int(n * HOLDOUT_FRACTION))
-    holdout = min(holdout, n - 1)
-    return slice(0, n - holdout), slice(n - holdout, n)
-
-
-def holdout_mae(spec, X: np.ndarray, y: np.ndarray) -> float:
-    """MAE of ``spec`` fitted on the leading rows and scored on the holdout."""
-    from .regressors import fit
-
-    fit_part, val_part = chronological_split(X.shape[0])
-    model = fit(spec, X[fit_part], y[fit_part])
-    pred = model.predict(X[val_part])
-    return float(np.mean(np.abs(pred - y[val_part])))
-
-
 def rfe_select(estimator_spec, X: np.ndarray, y: np.ndarray,
                feature_names: Sequence[str]) -> SelectionResult:
     """Recursive feature elimination driven by model importance.
@@ -95,8 +76,6 @@ def rfe_select(estimator_spec, X: np.ndarray, y: np.ndarray,
     cardinality on the chronological holdout; returns the best-scoring set
     (ties resolved toward fewer features).
     """
-    from .regressors import fit, supports_importance
-
     if X.shape[0] == 0:
         raise EmptyTrainingSetError("empty training set")
     if not supports_importance(estimator_spec.algorithm):

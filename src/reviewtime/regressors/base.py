@@ -11,7 +11,7 @@ import itertools
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from ..errors import (
     EmptyTrainingSetError,
     FeatureMismatchError,
 )
+from . import ensemble, linear, mlp, neighbors, tree
+
+HOLDOUT_FRACTION = 0.2  # trailing share of the training rows held out
 
 
 class Algorithm(str, Enum):
@@ -36,60 +39,67 @@ class Algorithm(str, Enum):
     GB = "GB"
 
 
-# hyperparameter names accepted per algorithm, with defaults
-ALGORITHM_PARAMS: dict[Algorithm, dict[str, object]] = {
-    Algorithm.LR: {},
-    Algorithm.LaR: {"alpha": 0.01},
-    Algorithm.RR: {"alpha": 1.0},
-    Algorithm.BLaR: {"max_iter": 300},
-    Algorithm.SVM: {"C": 1.0, "epsilon": 0.1, "epochs": 500},
-    Algorithm.KNN: {"k": 5},
-    Algorithm.DT: {"max_depth": None, "min_samples_leaf": 1},
-    Algorithm.NN: {"hidden_units": 16, "epochs": 100, "learning_rate": 0.01,
-                   "batch_size": 32},
-    Algorithm.RF: {"n_trees": 100, "min_samples_leaf": 1},
-    Algorithm.AdaDT: {"rounds": 50, "max_depth": 4},
-    Algorithm.GB: {"rounds": 100, "learning_rate": 0.1, "max_depth": 3},
+@dataclass(frozen=True)
+class Learner:
+    """One row of ``LEARNERS``: everything the package knows about an algorithm."""
+
+    fit: Callable  # fit(spec, X, y) -> plain state, on checked inputs
+    predict: Callable  # predict(state, X) -> unclipped predictions
+    defaults: Mapping[str, object]  # the accepted hyperparameters, with defaults
+    grid: Mapping[str, list]  # the default tuning grid
+    deterministic: bool = True  # no randomness: one run represents all repeats
+    importance: bool = True  # the state carries a per-feature importance
+    scaled: bool = False  # min-max scaled when the pipeline asks for no normalizer
+
+
+LEARNERS: dict[Algorithm, Learner] = {
+    Algorithm.LR: Learner(linear.fit_linear, linear.predict_linear, {}, {}),
+    Algorithm.LaR: Learner(linear.fit_lasso, linear.predict_linear, {"alpha": 0.01},
+                           {"alpha": [0.001, 0.01, 0.1, 1.0]}),
+    Algorithm.RR: Learner(linear.fit_ridge, linear.predict_linear, {"alpha": 1.0},
+                          {"alpha": [0.1, 1.0, 10.0]}),
+    Algorithm.BLaR: Learner(linear.fit_bayesian_ridge, linear.predict_linear,
+                            {"max_iter": 300}, {}),
+    Algorithm.SVM: Learner(neighbors.fit_svr, neighbors.predict_svr,
+                           {"C": 1.0, "epsilon": 0.1, "epochs": 500},
+                           {"C": [0.1, 1.0, 10.0], "epsilon": [0.01, 0.1]},
+                           scaled=True),
+    Algorithm.KNN: Learner(neighbors.fit_knn, neighbors.predict_knn, {"k": 5},
+                           {"k": [1, 3, 5, 10, 20]}, importance=False),
+    Algorithm.DT: Learner(tree.fit_decision_tree, tree.predict_decision_tree,
+                          {"max_depth": None, "min_samples_leaf": 1},
+                          {"max_depth": [4, 8, 16, None],
+                           "min_samples_leaf": [1, 5, 20]}),
+    Algorithm.NN: Learner(mlp.fit_mlp, mlp.predict_mlp,
+                          {"hidden_units": 16, "epochs": 100, "learning_rate": 0.01,
+                           "batch_size": 32},
+                          {"hidden_units": [16, 64], "epochs": [100]},
+                          deterministic=False, importance=False, scaled=True),
+    Algorithm.RF: Learner(ensemble.fit_random_forest, ensemble.predict_random_forest,
+                          {"n_trees": 100, "min_samples_leaf": 1},
+                          {"n_trees": [100, 300]}, deterministic=False),
+    Algorithm.AdaDT: Learner(ensemble.fit_adaboost, ensemble.predict_adaboost,
+                             {"rounds": 50, "max_depth": 4}, {"rounds": [50, 100]},
+                             deterministic=False),
+    Algorithm.GB: Learner(ensemble.fit_gradient_boosting,
+                          ensemble.predict_gradient_boosting,
+                          {"rounds": 100, "learning_rate": 0.1, "max_depth": 3},
+                          {"learning_rate": [0.05, 0.1], "rounds": [100, 300]}),
 }
-
-DEFAULT_GRIDS: dict[Algorithm, dict[str, list]] = {
-    Algorithm.LR: {},
-    Algorithm.LaR: {"alpha": [0.001, 0.01, 0.1, 1.0]},
-    Algorithm.RR: {"alpha": [0.1, 1.0, 10.0]},
-    Algorithm.BLaR: {},
-    Algorithm.SVM: {"C": [0.1, 1.0, 10.0], "epsilon": [0.01, 0.1]},
-    Algorithm.KNN: {"k": [1, 3, 5, 10, 20]},
-    Algorithm.DT: {"max_depth": [4, 8, 16, None], "min_samples_leaf": [1, 5, 20]},
-    Algorithm.RF: {"n_trees": [100, 300]},
-    Algorithm.AdaDT: {"rounds": [50, 100]},
-    Algorithm.GB: {"learning_rate": [0.05, 0.1], "rounds": [100, 300]},
-    Algorithm.NN: {"hidden_units": [16, 64], "epochs": [100]},
-}
-
-# algorithms whose fit involves no randomness: one run represents all repeats
-DETERMINISTIC_ALGORITHMS = frozenset({
-    Algorithm.LR, Algorithm.LaR, Algorithm.RR, Algorithm.BLaR,
-    Algorithm.SVM, Algorithm.KNN, Algorithm.DT, Algorithm.GB,
-})
-
-# algorithms exposing a per-feature importance vector after fitting
-IMPORTANCE_ALGORITHMS = frozenset({
-    Algorithm.LR, Algorithm.LaR, Algorithm.RR, Algorithm.BLaR, Algorithm.SVM,
-    Algorithm.DT, Algorithm.RF, Algorithm.AdaDT, Algorithm.GB,
-})
 
 
 def _check_hyperparameter(algorithm: Algorithm, name: str, value) -> None:
     """Raise ValueError for an unknown ``name`` or a ``value`` of the wrong type.
 
-    An int default takes an int and a float default an int or a float;
-    ``max_depth`` also takes None (unbounded).  A bool is never a number here.
+    An int default takes an int and a float default an int or a float; a
+    None default also takes None.  A bool is never a number here.
     """
-    if name not in ALGORITHM_PARAMS[algorithm]:
+    defaults = LEARNERS[algorithm].defaults
+    if name not in defaults:
         raise ValueError(f"unknown hyperparameter {name!r} for {algorithm.value}")
-    if name == "max_depth" and value is None:
+    if value is None and defaults[name] is None:
         return
-    if isinstance(ALGORITHM_PARAMS[algorithm][name], float):
+    if isinstance(defaults[name], float):
         expected, kind = numbers.Real, "a number"
     else:
         expected, kind = numbers.Integral, "an integer"
@@ -109,7 +119,7 @@ class RegressorSpec:
         object.__setattr__(self, "algorithm", algorithm)
         for name, value in self.hyperparameters.items():
             _check_hyperparameter(algorithm, name, value)
-        merged = {**ALGORITHM_PARAMS[algorithm], **self.hyperparameters}
+        merged = {**LEARNERS[algorithm].defaults, **self.hyperparameters}
         object.__setattr__(self, "hyperparameters", merged)
 
     def with_seed(self, seed: int) -> "RegressorSpec":
@@ -139,7 +149,7 @@ class HyperGrid:
     @classmethod
     def default(cls, algorithm: Algorithm) -> "HyperGrid":
         algorithm = Algorithm(algorithm)
-        return cls(algorithm, {k: list(v) for k, v in DEFAULT_GRIDS[algorithm].items()})
+        return cls(algorithm, {k: list(v) for k, v in LEARNERS[algorithm].grid.items()})
 
 
 class TrainedModel:
@@ -158,28 +168,28 @@ class TrainedModel:
         self.flags: tuple[str, ...] = tuple(self.state.get("flags", ()))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        from . import _PREDICTORS
-
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise FeatureMismatchError(
                 f"expected {len(self.feature_names)} features, got "
                 f"{X.shape[1] if X.ndim == 2 else 'non-matrix input'}"
             )
-        pred = np.asarray(_PREDICTORS[self.spec.algorithm](self.state, X),
+        pred = np.asarray(LEARNERS[self.spec.algorithm].predict(self.state, X),
                           dtype=float)
         return np.maximum(pred, 0.0)
 
 
 def supports_importance(algorithm: Algorithm) -> bool:
-    return Algorithm(algorithm) in IMPORTANCE_ALGORITHMS
+    return LEARNERS[Algorithm(algorithm)].importance
 
 
 def is_deterministic(algorithm: Algorithm) -> bool:
-    return Algorithm(algorithm) in DETERMINISTIC_ALGORITHMS
+    return LEARNERS[Algorithm(algorithm)].deterministic
 
 
-def check_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def fit(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
+        feature_names: Sequence[str] | None = None) -> TrainedModel:
+    """Check the training inputs, then fit ``spec``'s learner on them."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -190,7 +200,27 @@ def check_training_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.
         raise EmptyTrainingSetError("need at least 2 training rows")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("training data must be finite")
-    return X, y
+    if feature_names is None:
+        feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
+    return TrainedModel(spec, feature_names,
+                        LEARNERS[spec.algorithm].fit(spec, X, y))
+
+
+def chronological_split(n: int) -> tuple[slice, slice]:
+    """Split [0, n) into a leading fit part and a trailing holdout part."""
+    if n < 2:
+        raise EmptyTrainingSetError("need at least 2 rows for a chronological split")
+    holdout = max(1, int(n * HOLDOUT_FRACTION))
+    holdout = min(holdout, n - 1)
+    return slice(0, n - holdout), slice(n - holdout, n)
+
+
+def holdout_mae(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> float:
+    """MAE of ``spec`` fitted on the leading rows and scored on the holdout."""
+    fit_part, val_part = chronological_split(X.shape[0])
+    model = fit(spec, X[fit_part], y[fit_part])
+    pred = model.predict(X[val_part])
+    return float(np.mean(np.abs(pred - y[val_part])))
 
 
 def grid_search(algorithm: Algorithm, grid: HyperGrid, X: np.ndarray,
@@ -201,8 +231,6 @@ def grid_search(algorithm: Algorithm, grid: HyperGrid, X: np.ndarray,
     80% and scores on the trailing 20%.  Ties keep the first point in grid
     iteration order; points whose fit raises are skipped.
     """
-    from ..preprocess import chronological_split, holdout_mae
-
     algorithm = Algorithm(algorithm)
     if grid.algorithm is not algorithm:
         raise ValueError("grid is for a different algorithm")

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .base import RegressorSpec, check_training_inputs
 from .tree import RegressionTree
+
+if TYPE_CHECKING:
+    from .base import RegressorSpec
 
 
 def fit_random_forest(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """Bootstrap-aggregated trees with ceil(p/3) candidate features per split."""
-    X, y = check_training_inputs(X, y)
     n, p = X.shape
     n_trees = int(spec.hyperparameters["n_trees"])
     min_leaf = int(spec.hyperparameters["min_samples_leaf"])
@@ -50,7 +52,6 @@ def fit_adaboost(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     stop early on a perfect fit or when the weighted average loss reaches
     0.5.  Prediction is the weighted median of the member predictions.
     """
-    X, y = check_training_inputs(X, y)
     n = X.shape[0]
     rounds = int(spec.hyperparameters["rounds"])
     max_depth = int(spec.hyperparameters["max_depth"])
@@ -111,7 +112,6 @@ def fit_gradient_boosting(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> 
     Starts from the target mean; each round fits a tree to the current
     residuals and adds it scaled by the learning rate.
     """
-    X, y = check_training_inputs(X, y)
     rounds = int(spec.hyperparameters["rounds"])
     learning_rate = float(spec.hyperparameters["learning_rate"])
     max_depth = int(spec.hyperparameters["max_depth"])

@@ -6,9 +6,12 @@ the absolute value of the fitted coefficients.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .base import RegressorSpec, check_training_inputs
+if TYPE_CHECKING:
+    from .base import RegressorSpec
 
 LASSO_TOL = 1e-7
 LASSO_MAX_SWEEPS = 10_000
@@ -31,7 +34,6 @@ def fit_linear(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     A rank-deficient design falls back to a ridge solve with lambda = 1e-8
     and flags the model.
     """
-    X, y = check_training_inputs(X, y)
     xm = X.mean(axis=0)
     ym = y.mean()
     xc = X - xm
@@ -53,7 +55,6 @@ def fit_linear(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
 
 def fit_ridge(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """Ridge regression; the penalty excludes the intercept (centered solve)."""
-    X, y = check_training_inputs(X, y)
     alpha = float(spec.hyperparameters["alpha"])
     xm = X.mean(axis=0)
     ym = y.mean()
@@ -70,7 +71,6 @@ def fit_lasso(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     updates; converges when the largest coefficient change in a sweep drops
     below tolerance.
     """
-    X, y = check_training_inputs(X, y)
     alpha = float(spec.hyperparameters["alpha"])
     n, p = X.shape
     xm = X.mean(axis=0)
@@ -107,7 +107,6 @@ def fit_bayesian_ridge(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dic
     Iteratively re-estimates the noise precision and the shared weight-prior
     precision from the posterior until the coefficient mean stabilizes.
     """
-    X, y = check_training_inputs(X, y)
     max_iter = int(spec.hyperparameters["max_iter"])
     n, p = X.shape
     xm = X.mean(axis=0)

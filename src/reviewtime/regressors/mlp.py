@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .base import RegressorSpec, check_training_inputs
+if TYPE_CHECKING:
+    from .base import RegressorSpec
 
 
 def init_params(p: int, hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -43,7 +46,6 @@ def loss_and_gradients(params: dict[str, np.ndarray], X: np.ndarray,
 
 def fit_mlp(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """The state is the network's parameters: W1, b1, W2 and b2."""
-    X, y = check_training_inputs(X, y)
     hidden_units = int(spec.hyperparameters["hidden_units"])
     epochs = int(spec.hyperparameters["epochs"])
     learning_rate = float(spec.hyperparameters["learning_rate"])

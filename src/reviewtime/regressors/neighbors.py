@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .base import RegressorSpec, check_training_inputs
+if TYPE_CHECKING:
+    from .base import RegressorSpec
 
 
 def fit_knn(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """Brute-force Euclidean kNN; uniform mean of the k nearest targets."""
-    X, y = check_training_inputs(X, y)
     k = min(int(spec.hyperparameters["k"]), X.shape[0])
     return {"k": k, "train_X": X.copy(), "train_y": y.copy()}
 
@@ -34,7 +36,6 @@ def fit_svr(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     weights.  Returned parameters average the second half of the iterates.
     Inputs are assumed normalized (the pipeline enforces it for this learner).
     """
-    X, y = check_training_inputs(X, y)
     C = float(spec.hyperparameters["C"])
     epsilon = float(spec.hyperparameters["epsilon"])
     epochs = int(spec.hyperparameters["epochs"])

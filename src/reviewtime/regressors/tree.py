@@ -11,9 +11,12 @@ the forest and boosting ensembles.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .base import RegressorSpec, check_training_inputs
+if TYPE_CHECKING:
+    from .base import RegressorSpec
 
 _GAIN_EPS = 1e-12
 
@@ -120,7 +123,6 @@ class RegressionTree:
 
 
 def fit_decision_tree(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
-    X, y = check_training_inputs(X, y)
     max_depth = spec.hyperparameters["max_depth"]
     tree = RegressionTree(
         max_depth=None if max_depth is None else int(max_depth),

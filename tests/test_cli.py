@@ -115,6 +115,26 @@ class TestConfig:
          "evaluation.pipelines[0]"),
         ({"features": {"window_days": 0}}, "features"),
         ({"features": {"window_days": -5}}, "features"),
+        ({"evaluation": {"pipelines": [
+            {"algorithm": "GB", "hyperparameters": {"max_depth": None}}]}},
+         "evaluation.pipelines[0]"),
+        ({"evaluation": {"pipelines": [
+            {"algorithm": "AdaDT", "grid": {"max_depth": [None, 3]}}]}},
+         "evaluation.pipelines[0]"),
+        ({"keywords": {"refactoring_keywords": "refactor"}}, "keywords"),
+        ({"crawl": {"base_url": "http://x.invalid", "bot_accounts": "Jenkins"}},
+         "crawl"),
+        ({"crawl": {"base_url": "http://x.invalid", "bot_accounts": ["bot", 5]}},
+         "crawl"),
+        ({"seed": 2.5}, "top level"),
+        ({"seed": True}, "top level"),
+        ({"seed": -1}, "top level"),
+        ({"evaluation": {"base_seed": 1.5}}, "evaluation"),
+        ({"evaluation": {"base_seed": -3}}, "evaluation"),
+        ({"filter": {"drop_reopened": "no"}}, "filter"),
+        ({"filter": {"drop_self_reviewed": 0}}, "filter"),
+        ({"crawl": {"base_url": "http://x.invalid", "fetch_file_diffs": "no"}},
+         "crawl"),
     ])
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, doc, where):
         path = tmp_path / "c.json"
@@ -135,6 +155,15 @@ class TestConfig:
         rr, dt = load_run_config(path).pipelines
         assert rr.spec.hyperparameters["alpha"] == 1
         assert dt.grid.points() == [{"max_depth": None}, {"max_depth": 4}]
+
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path / "c.json")
+        with pytest.raises(ConfigError, match="^top level: seed"):
+            load_run_config(path, seed_override=-1)
+        code = main(["filter", "--config", str(path), "--seed", "-1",
+                     "--in", "x.jsonl", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["filter", "--in", "x.jsonl"],

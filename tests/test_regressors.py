@@ -382,6 +382,23 @@ class TestPredictionContract:
         assert not is_deterministic(Algorithm.AdaDT)
 
 
+class TestLearnerTable:
+    def test_rows_match_learner_behaviour(self):
+        rng = np.random.default_rng(21)
+        X = rng.uniform(size=(40, 3))
+        y = rng.uniform(10, 60, 40)
+        for algorithm in Algorithm:
+            for point in HyperGrid.default(algorithm).points():
+                RegressorSpec(algorithm, point)
+            first, second = (fit(RegressorSpec(algorithm, seed=seed), X, y)
+                             for seed in (1, 2))
+            assert supports_importance(algorithm) == \
+                (first.importance is not None), algorithm
+            # a wrong flag would copy one repeat of a stochastic learner
+            same = np.array_equal(first.predict(X), second.predict(X))
+            assert is_deterministic(algorithm) == same, algorithm
+
+
 class TestGridSearch:
     def test_single_point(self):
         X, y, _ = linear_data(1, n=40)
