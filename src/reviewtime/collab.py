@@ -135,39 +135,65 @@ def betweenness_centrality(graph: InteractionGraph, v: int) -> float:
 
     Pair dependencies are summed over ordered pairs (s, t) with s, t != v
     and divided by (n-1)(n-2); zero for n < 3.
+
+    Only v's dependency is needed, so each source's search marks v's
+    descendants in its shortest-path DAG, stops once every marked vertex is
+    expanded, and accumulates dependencies over the marked vertices alone.
+    The result is bit-identical to the full accumulation because the float
+    order is kept: sources are taken in ``graph.nodes`` order, the search
+    visits neighbours in ``graph.adjacency`` order, and each dependency
+    receives its terms ``sigma[u] / sigma[w] * (1 + delta[w])`` in reverse
+    discovery order of w.  Path counts are exact integers, so their
+    summation order is free.
     """
     if v not in graph.nodes:
         return 0.0
     n = len(graph.nodes)
-    if n < 3:
+    if n < 3 or len(graph.adjacency[v]) < 2:
         return 0.0
-    adj = graph.adjacency
+    index = {u: i for i, u in enumerate(graph.nodes)}
+    neighbours = [[index[w] for w in graph.adjacency[u]] for u in graph.nodes]
+    target = index[v]
     score = 0.0
-    for s in graph.nodes:
-        # single-source shortest paths with path counts
-        dist = {s: 0}
-        sigma = {s: 1.0}
-        preds: dict[int, list[int]] = {s: []}
-        order: list[int] = []
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    sigma[w] = 0.0
-                    preds[w] = []
-                    queue.append(w)
-                if dist[w] == dist[u] + 1:
+    for s in range(n):
+        if s == target:
+            continue
+        # shortest-path counts from s, marking v and its descendants
+        dist = [-1] * n
+        sigma = [0.0] * n
+        below = [False] * n
+        dist[s] = 0
+        sigma[s] = 1.0
+        below[target] = True
+        unexpanded = 1
+        order = [s]
+        for u in order:
+            next_dist = dist[u] + 1
+            from_below = below[u]
+            for w in neighbours[u]:
+                if dist[w] < 0:
+                    dist[w] = next_dist
+                    order.append(w)
+                if dist[w] == next_dist:
                     sigma[w] += sigma[u]
-                    preds[w].append(u)
-        delta = {u: 0.0 for u in order}
+                    if from_below and not below[w]:
+                        below[w] = True
+                        unexpanded += 1
+            if from_below:
+                unexpanded -= 1
+                if not unexpanded:
+                    break
+        # dependencies of the descendants, deepest first, then of v
+        delta = [0.0] * n
         for w in reversed(order):
-            for u in preds[w]:
-                delta[u] += sigma[u] / sigma[w] * (1.0 + delta[w])
-            if w != s and w == v:
-                score += delta[w]
+            if w == target:
+                break
+            if below[w]:
+                before = dist[w] - 1
+                for u in neighbours[w]:
+                    if dist[u] == before and below[u]:
+                        delta[u] += sigma[u] / sigma[w] * (1.0 + delta[w])
+        score += delta[target]
     return score / ((n - 1) * (n - 2))
 
 

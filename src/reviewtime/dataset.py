@@ -23,6 +23,7 @@ from .gerrit import (
     FileDiff,
     ReviewMessage,
     is_bot_account,
+    require_number,
 )
 
 SCHEMA_VERSION = "1"
@@ -37,6 +38,8 @@ class FilterPolicy:
     drop_self_reviewed: bool = True
 
     def __post_init__(self):
+        require_number(self.min_hours, "min_hours", float)
+        require_number(self.max_hours, "max_hours", float)
         if not (0 <= self.min_hours < self.max_hours):
             raise ValueError("require 0 <= min_hours < max_hours")
         for name in ("drop_reopened", "drop_self_reviewed"):

@@ -51,6 +51,17 @@ class ChangeStatus(str, Enum):
     NEW = "NEW"
 
 
+def require_number(value, name: str, kind: type) -> None:
+    """Reject a config value that is not of ``kind`` (int or float).
+
+    An int also counts as a float; a bool counts as neither.
+    """
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CrawlConfig:
     base_url: str
@@ -64,8 +75,16 @@ class CrawlConfig:
     fetch_file_diffs: bool = True
 
     def __post_init__(self):
+        require_number(self.page_size, "page_size", int)
+        require_number(self.max_retries, "max_retries", int)
+        if self.max_changes is not None:
+            require_number(self.max_changes, "max_changes", int)
+        require_number(self.request_timeout, "request_timeout", float)
+        require_number(self.min_request_interval_ms, "min_request_interval_ms", float)
         if self.page_size < 1:
             raise ValueError("page_size must be >= 1")
+        if self.request_timeout <= 0:
+            raise ValueError("request_timeout must be > 0")
         if self.min_request_interval_ms < 0:
             raise ValueError("min_request_interval_ms must be >= 0")
         if self.max_retries < 0:

@@ -135,6 +135,21 @@ class TestConfig:
         ({"filter": {"drop_self_reviewed": 0}}, "filter"),
         ({"crawl": {"base_url": "http://x.invalid", "fetch_file_diffs": "no"}},
          "crawl"),
+        ({"crawl": {"base_url": "http://x.invalid", "page_size": 2.5}}, "crawl"),
+        ({"crawl": {"base_url": "http://x.invalid", "page_size": True}}, "crawl"),
+        ({"crawl": {"base_url": "http://x.invalid", "max_retries": 1.5}}, "crawl"),
+        ({"crawl": {"base_url": "http://x.invalid", "max_retries": False}}, "crawl"),
+        ({"crawl": {"base_url": "http://x.invalid", "max_changes": 10.5}}, "crawl"),
+        ({"crawl": {"base_url": "http://x.invalid", "max_changes": True}}, "crawl"),
+        ({"crawl": {"base_url": "http://x.invalid", "request_timeout": "30"}},
+         "crawl"),
+        ({"crawl": {"base_url": "http://x.invalid", "request_timeout": True}},
+         "crawl"),
+        ({"crawl": {"base_url": "http://x.invalid", "request_timeout": 0}}, "crawl"),
+        ({"crawl": {"base_url": "http://x.invalid", "min_request_interval_ms": True}},
+         "crawl"),
+        ({"filter": {"min_hours": True}}, "filter"),
+        ({"filter": {"min_hours": 0, "max_hours": True}}, "filter"),
     ])
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, doc, where):
         path = tmp_path / "c.json"

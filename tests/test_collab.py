@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from datetime import timedelta
 
 import numpy as np
@@ -22,6 +23,8 @@ from reviewtime.collab import (
     degree_centrality,
     eigenvector_centrality,
 )
+from reviewtime.gerrit import CrawlConfig, RawChange, normalize_change
+from reviewtime.gerrit_fixture import generate_corpus
 
 import graph_oracles as oracle
 from conftest import BASE_TIME, make_message, make_record
@@ -209,6 +212,105 @@ class TestOracleEquivalence:
                 mask = rng.random(len(all_edges)) < rng.uniform(0.15, 0.8)
                 edges = tuple(e for e, keep in zip(all_edges, mask) if keep)
                 assert_matches_oracle(edges, n)
+
+
+def reference_betweenness(graph, v):
+    """Full Brandes accumulation with per-source dicts and predecessor lists.
+
+    The kernel must equal this bit for bit: its float order is the one
+    ``betweenness_centrality`` keeps.
+    """
+    if v not in graph.nodes:
+        return 0.0
+    n = len(graph.nodes)
+    if n < 3:
+        return 0.0
+    adj = graph.adjacency
+    score = 0.0
+    for s in graph.nodes:
+        dist = {s: 0}
+        sigma = {s: 1.0}
+        preds: dict[int, list[int]] = {s: []}
+        order: list[int] = []
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            order.append(u)
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    sigma[w] = 0.0
+                    preds[w] = []
+                    queue.append(w)
+                if dist[w] == dist[u] + 1:
+                    sigma[w] += sigma[u]
+                    preds[w].append(u)
+        delta = {u: 0.0 for u in order}
+        for w in reversed(order):
+            for u in preds[w]:
+                delta[u] += sigma[u] / sigma[w] * (1.0 + delta[w])
+            if w != s and w == v:
+                score += delta[w]
+    return score / ((n - 1) * (n - 2))
+
+
+def labelled_graphs(seed):
+    """Seeded graphs on ids >= 10 000, in a shuffled order.
+
+    Sparse random graphs (with several components), paths and stars (owners
+    of degree 1), and dense graphs with many tied shortest paths: random
+    graphs at p = 0.5, complete bipartite graphs and hypercubes.
+    """
+    rng = np.random.default_rng(seed)
+
+    def relabel(n, edges):
+        ids = [int(i) for i in rng.choice(np.arange(10_000, 90_000), n,
+                                          replace=False)]
+        order = rng.permutation(len(edges))
+        return graph_from_edges([(ids[edges[k][0]], ids[edges[k][1]])
+                                 for k in order], extra_nodes=ids)
+
+    def gnp(n, p):
+        return [(i, j) for i in range(n) for j in range(i + 1, n)
+                if rng.random() < p]
+
+    for n in (12, 25, 40):
+        yield relabel(n, gnp(n, 1.2 / n))
+        yield relabel(n, gnp(n, 3.0 / n))
+        yield relabel(n, gnp(n, 0.5))
+    yield relabel(9, [(i, i + 1) for i in range(8)])
+    yield relabel(9, [(0, i) for i in range(1, 9)])
+    yield relabel(11, [(i, 5 + j) for i in range(5) for j in range(6)])
+    yield relabel(32, [(i, i ^ (1 << b)) for i in range(32) for b in range(5)
+                       if i < i ^ (1 << b)])
+
+
+def corpus_graphs():
+    """Window graphs that ``build_graph`` makes from a fixture history."""
+    config = CrawlConfig(base_url="http://fixture.invalid")
+    records = [normalize_change(RawChange(doc, BASE_TIME), config)
+               for doc in generate_corpus(120, seed=4)]
+    for k in range(10, len(records), 10):
+        for window_days in (7, 30, 365):
+            yield build_graph(records[:k], as_of=records[k].created_at,
+                              window_days=window_days)
+
+
+class TestBetweennessKernel:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_on_labelled_graphs(self, seed):
+        for graph in labelled_graphs(seed):
+            for v in graph.nodes:
+                assert betweenness_centrality(graph, v) == \
+                    reference_betweenness(graph, v), (sorted(graph.edges), v)
+
+    def test_bit_identical_on_corpus_graphs(self):
+        graphs = list(corpus_graphs())
+        assert max(len(g.nodes) for g in graphs) >= 10
+        for graph in graphs:
+            for v in graph.nodes:
+                assert betweenness_centrality(graph, v) == \
+                    reference_betweenness(graph, v), (sorted(graph.edges), v)
 
 
 @st.composite

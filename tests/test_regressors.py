@@ -85,6 +85,22 @@ class TestLinearFamily:
         assert "singular_fallback" in model.flags
         assert np.isfinite(model.predict(X)).all()
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect (ROADMAP item 9): fit_linear detects rank deficiency "
+        "only through np.linalg.cholesky, which passes on this centred design"))
+    def test_lr_flags_exactly_collinear_column(self):
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 80, size=(60, 4)).astype(float)
+        # the sum column, as Code_churn = #lines_added + #lines_deleted
+        X = np.column_stack([X, X[:, 0] + X[:, 1]])
+        y = rng.uniform(0, 100, 60)
+        xc = X - X.mean(axis=0)
+        if np.linalg.matrix_rank(xc) != 4:
+            pytest.fail("the design must have rank 4 of 5")
+        np.linalg.cholesky(xc.T @ xc)  # passes despite the rank deficiency
+        model = fit(RegressorSpec(Algorithm.LR), X, y)
+        assert "singular_fallback" in model.flags
+
     def test_ridge_limit_shrinks_to_zero(self):
         X, y, _ = linear_data(3, noise=0.1)
         model = fit(RegressorSpec(Algorithm.RR, {"alpha": 1e12}), X, y)
