@@ -71,12 +71,7 @@ def build_graph(history: Sequence[ChangeRecord], as_of: datetime,
         if not (window_start <= change.created_at < as_of):
             continue
         owner = change.owner_id
-        participants = {
-            m.author_id
-            for m in change.messages
-            if m.author_id != owner and not m.from_bot
-        }
-        for participant in participants:
+        for participant in change.participants:
             key = (owner, participant) if owner < participant else (participant, owner)
             weights[key] = weights.get(key, 0) + 1
             nodes.update(key)

@@ -335,6 +335,10 @@ def read_dataset(path: str | Path) -> tuple[list[ChangeRecord], DatasetManifest]
                 doc = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"corrupted dataset line {lineno}: {exc}") from exc
-            records.append(record_from_json(doc))
+            try:
+                records.append(record_from_json(doc))
+            except (SchemaError, ValueError, TypeError, AttributeError) as exc:
+                raise SchemaError(f"malformed record on dataset line {lineno}: "
+                                  f"{exc}") from exc
     manifest = read_manifest(path)
     return records, manifest

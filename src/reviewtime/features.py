@@ -14,7 +14,7 @@ from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -197,17 +197,23 @@ class FeatureMatrix:
         path = Path(path)
         with path.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, [])
             if header[:3] != ["change_number", "created_at", "target_hours"]:
                 raise SchemaError(f"unexpected feature CSV header in {path}")
             names = tuple(header[3:])
             numbers, created, ys, rows = [], [], [], []
             for row in reader:
-                numbers.append(int(row[0]))
-                created.append(datetime.strptime(row[1], "%Y-%m-%dT%H:%M:%S.%fZ")
-                               .replace(tzinfo=timezone.utc))
-                ys.append(float(row[2]))
-                rows.append([float(v) for v in row[3:]])
+                if len(row) != len(header):
+                    raise SchemaError(f"{path} line {reader.line_num}: expected "
+                                      f"{len(header)} cells, got {len(row)}")
+                try:
+                    numbers.append(int(row[0]))
+                    created.append(datetime.strptime(row[1], "%Y-%m-%dT%H:%M:%S.%fZ")
+                                   .replace(tzinfo=timezone.utc))
+                    ys.append(float(row[2]))
+                    rows.append([float(v) for v in row[3:]])
+                except ValueError as exc:
+                    raise SchemaError(f"{path} line {reader.line_num}: {exc}") from exc
         X = np.array(rows, dtype=float).reshape(len(rows), len(names))
         return cls(names, X, np.array(ys, dtype=float),
                    np.array(numbers, dtype=int), created)
@@ -317,52 +323,83 @@ def extract_text_features(record: ChangeRecord,
     }
 
 
-def _prior_completed(record: ChangeRecord,
-                     history: Sequence[ChangeRecord]) -> list[ChangeRecord]:
-    return [
-        c for c in history
-        if c.created_at < record.created_at and c.closed_at is not None
-        and c.number != record.number
-    ]
+class PriorHistory:
+    """Completed changes created before a record, indexed by owner, subsystem,
+    path and message author.
+
+    Changes enter only through :meth:`add` and keep the position at which
+    they entered; each index lists positions in that order, so every
+    aggregate reads its changes in entry order (creation order in
+    :func:`featurize`).  Completion hours and message counts are derived once
+    per change.  ``len`` counts the changes added.
+    """
+
+    def __init__(self, changes: Iterable[ChangeRecord] = ()):
+        self.owners: list[int] = []
+        self.statuses: list[ChangeStatus] = []
+        self.hours: list[float] = []
+        self.human_messages: list[int] = []
+        self.owner_messages: list[int] = []
+        self.by_owner: dict[int, list[int]] = {}
+        self.by_subsystem: dict[str, list[int]] = {}
+        self.by_path: dict[str, list[int]] = {}
+        self.by_author: dict[int, list[int]] = {}
+        for change in changes:
+            self.add(change)
+
+    def __len__(self) -> int:
+        return len(self.owners)
+
+    def add(self, change: ChangeRecord) -> None:
+        position = len(self.owners)
+        owner = change.owner_id
+        human = [m for m in change.messages if not m.from_bot]
+        self.owners.append(owner)
+        self.statuses.append(change.status)
+        self.hours.append(completion_time_hours(change))
+        self.human_messages.append(len(human))
+        self.owner_messages.append(sum(1 for m in human if m.author_id == owner))
+        self.by_owner.setdefault(owner, []).append(position)
+        for subsystem in {subsystem_of(f.path) for f in change.files}:
+            self.by_subsystem.setdefault(subsystem, []).append(position)
+        for path in {f.path for f in change.files}:
+            self.by_path.setdefault(path, []).append(position)
+        for author in {m.author_id for m in change.messages}:
+            self.by_author.setdefault(author, []).append(position)
 
 
-def _human_messages(change: ChangeRecord):
-    return [m for m in change.messages if not m.from_bot]
+def _as_prior_history(prior: Sequence[ChangeRecord] | PriorHistory) -> PriorHistory:
+    return prior if isinstance(prior, PriorHistory) else PriorHistory(prior)
+
+
+def _positions(index: dict, keys: Iterable) -> set[int]:
+    return set().union(*(index.get(key, ()) for key in keys))
 
 
 def extract_owner_experience(record: ChangeRecord,
-                             prior_history: Sequence[ChangeRecord]) -> dict[str, float]:
-    """Owner-experience features over ``prior_history``, read as given.
+                             prior_history: Sequence[ChangeRecord] | PriorHistory,
+                             ) -> dict[str, float]:
+    """Owner-experience features over ``prior_history``, read in its order.
 
     ``prior_history`` must hold only the completed changes created before
-    ``record``; ``extract_all`` filters it once for both history extractors.
+    ``record``; a plain sequence is indexed first.
     """
+    prior = _as_prior_history(prior_history)
     owner = record.owner_id
-    own = [c for c in prior_history if c.owner_id == owner]
-    merged = sum(1 for c in own if c.status is ChangeStatus.MERGED)
-    abandoned = sum(1 for c in own if c.status is ChangeStatus.ABANDONED)
+    own = prior.by_owner.get(owner, [])
+    merged = sum(1 for p in own if prior.statuses[p] is ChangeStatus.MERGED)
+    abandoned = sum(1 for p in own if prior.statuses[p] is ChangeStatus.ABANDONED)
 
-    subsystems = {subsystem_of(f.path) for f in record.files}
+    subsystem_changes = _positions(prior.by_subsystem,
+                                   {subsystem_of(f.path) for f in record.files})
+    own_subsystem = sum(1 for p in own if p in subsystem_changes)
 
-    def touches_subsystem(change: ChangeRecord) -> bool:
-        return any(subsystem_of(f.path) in subsystems for f in change.files)
+    dur_quad = _quadruple([prior.hours[p] for p in own])
 
-    subsystem_changes = [
-        c for c in prior_history if touches_subsystem(c)
-    ] if subsystems else []
-    own_subsystem = [c for c in subsystem_changes if c.owner_id == owner]
-
-    durations = [completion_time_hours(c) for c in own]
-    dur_quad = _quadruple(durations)
-
-    reviewed = sum(
-        1 for c in prior_history
-        if c.owner_id != owner and any(m.author_id == owner for m in c.messages)
-    )
-    own_messages = sum(
-        1 for c in own for m in _human_messages(c) if m.author_id == owner
-    )
-    exchanged_per_change = [len(_human_messages(c)) for c in own]
+    reviewed = sum(1 for p in prior.by_author.get(owner, ())
+                   if prior.owners[p] != owner)
+    own_messages = sum(prior.owner_messages[p] for p in own)
+    exchanged_per_change = [prior.human_messages[p] for p in own]
     msg_quad = _quadruple(exchanged_per_change)
 
     values = {
@@ -371,9 +408,9 @@ def extract_owner_experience(record: ChangeRecord,
         "#prior_abandoned_changes": float(abandoned),
         "merge_ratio": merged / len(own) if own else 0.0,
         "#prior_subsystem_changes": float(len(subsystem_changes)),
-        "#prior_owner_subsystem_changes": float(len(own_subsystem)),
+        "#prior_owner_subsystem_changes": float(own_subsystem),
         "prior_owner_subsystem_changes_ratio":
-            len(own_subsystem) / len(own) if own else 0.0,
+            own_subsystem / len(own) if own else 0.0,
         "#reviewed_changes_owner": float(reviewed),
         "#owner_previous_message": float(own_messages),
         "#owner_exchanged_messages": float(sum(exchanged_per_change)),
@@ -386,19 +423,18 @@ def extract_owner_experience(record: ChangeRecord,
 
 
 def extract_file_history(record: ChangeRecord,
-                         prior_history: Sequence[ChangeRecord]) -> dict[str, float]:
-    """File-history features over ``prior_history``, read as given.
+                         prior_history: Sequence[ChangeRecord] | PriorHistory,
+                         ) -> dict[str, float]:
+    """File-history features over ``prior_history``, read in its order.
 
     ``prior_history`` must hold only the completed changes created before
-    ``record``; ``extract_all`` filters it once for both history extractors.
+    ``record``; a plain sequence is indexed first.
     """
-    paths = {f.path for f in record.files}
-    overlapping = [
-        c for c in prior_history if any(f.path in paths for f in c.files)
-    ] if paths else []
-    quad = _quadruple([completion_time_hours(c) for c in overlapping])
+    prior = _as_prior_history(prior_history)
+    overlapping = sorted(_positions(prior.by_path, {f.path for f in record.files}))
+    quad = _quadruple([prior.hours[p] for p in overlapping])
     values = {f"files_changes_duration_{s}": v for s, v in zip(_QUAD, quad)}
-    values["#developers_file"] = float(len({c.owner_id for c in overlapping}))
+    values["#developers_file"] = float(len({prior.owners[p] for p in overlapping}))
     values["#prior_changes_files"] = float(len(overlapping))
     return {name: values[name] for name in FILE_HISTORY_FEATURES}
 
@@ -411,7 +447,13 @@ def extract_all(record: ChangeRecord, history: Sequence[ChangeRecord],
     ``history`` may hold any changes; only the completed ones created before
     ``record`` reach the owner-experience and file-history extractors.
     """
-    prior = _prior_completed(record, history)
+    prior = PriorHistory(c for c in history
+                         if c.created_at < record.created_at and c.closed_at is not None)
+    return _assemble(record, graph, prior, policy)
+
+
+def _assemble(record: ChangeRecord, graph: collab.InteractionGraph,
+              prior: PriorHistory, policy: KeywordPolicy) -> FeatureVector:
     values: dict[str, float] = {}
     values.update(extract_date_features(record))
     values.update(asdict(collab.collab_features(graph, record.owner_id)))
@@ -428,6 +470,21 @@ def extract_all(record: ChangeRecord, history: Sequence[ChangeRecord],
     )
 
 
+def _check_change_numbers(records: Sequence[ChangeRecord],
+                          history: Sequence[ChangeRecord]) -> None:
+    """Reject a history that holds a change twice or disagrees with a record."""
+    created: dict[int, datetime] = {}
+    for change in history:
+        if change.number in created:
+            raise SchemaError(f"change {change.number} appears twice in the history")
+        created[change.number] = change.created_at
+    for record in records:
+        if created.get(record.number, record.created_at) != record.created_at:
+            raise SchemaError(
+                f"change {record.number} was created at {record.created_at}, "
+                f"but the history has it created at {created[record.number]}")
+
+
 def featurize(records: Sequence[ChangeRecord],
               history: Sequence[ChangeRecord] | None = None,
               window_days: int = collab.DEFAULT_WINDOW_DAYS,
@@ -436,18 +493,29 @@ def featurize(records: Sequence[ChangeRecord],
 
     ``history`` defaults to the records themselves; pass the unfiltered
     dataset so short/long/self-reviewed changes still count as experience.
-    History is read in creation order, so its input order does not matter.
-    Each record sees the one view of the changes created before it, which
-    both the interaction graph and the history features read.
+    History is read in creation order, so its input order does not matter;
+    a change number may appear in it once, with the creation time the
+    records give it.  One sweep in creation order feeds the completed
+    changes created before each record into one :class:`PriorHistory`, so a
+    record costs its own keys plus the changes in its graph window.
     """
     history = sort_by_creation(records if history is None else history)
+    _check_change_numbers(records, history)
     created = [change.created_at for change in history]
+    window = timedelta(days=window_days)
+    prior = PriorHistory()
+    added = 0
     vectors = []
     for record in sort_by_creation(records):
         if record.closed_at is None:
             continue
-        before = history[:bisect_left(created, record.created_at)]
-        graph = collab.build_graph(before, as_of=record.created_at,
+        end = bisect_left(created, record.created_at, added)
+        for change in history[added:end]:
+            if change.closed_at is not None:
+                prior.add(change)
+        added = end
+        start = bisect_left(created, record.created_at - window, 0, end)
+        graph = collab.build_graph(history[start:end], as_of=record.created_at,
                                    window_days=window_days)
-        vectors.append(extract_all(record, before, graph, policy))
+        vectors.append(_assemble(record, graph, prior, policy))
     return FeatureMatrix.from_vectors(vectors)

@@ -18,6 +18,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -171,6 +172,16 @@ class ChangeRecord:
             raise SchemaError(f"change {self.number}: closed_at on open change")
         if self.closed_at is not None and self.closed_at < self.created_at:
             raise SchemaError(f"change {self.number}: closed_at precedes created_at")
+
+    @cached_property
+    def participants(self) -> set[int]:
+        """Distinct human message authors other than the owner.
+
+        Built once per record, so every reader iterates the same set in the
+        same order; callers must not mutate it.
+        """
+        return {m.author_id for m in self.messages
+                if m.author_id != self.owner_id and not m.from_bot}
 
 
 def parse_gerrit_json(body: bytes | str) -> Any:

@@ -350,3 +350,36 @@ class TestCommands:
         assert float(row["w"]) == expected.w_statistic
         assert float(row["p_value"]) == expected.p_value
         assert float(row["cliffs_d"]) == expected.cliffs_d
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("field, value", [
+        ("status", "BOGUS"),
+        ("created_at", "2021-04-26 10:00"),
+        ("files", 3),
+    ])
+    def test_filter_names_the_malformed_line(self, tmp_path, capsys, field, value):
+        path = tmp_path / "in.jsonl"
+        ds.write_dataset([make_record(1), make_record(2)], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[1])
+        doc[field] = value
+        path.write_text(lines[0] + "\n" + json.dumps(doc) + "\n", encoding="utf-8")
+        config_path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+        assert main(["filter", "--config", str(config_path), "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and "line 2" in err
+
+    @pytest.mark.parametrize("last_cells", [[], ["abc"]],
+                             ids=["short-row", "non-numeric-cell"])
+    def test_evaluate_names_the_malformed_row(self, tmp_path, capsys, last_cells):
+        path = tmp_path / "features.csv"
+        synthetic_matrix(n=60).to_csv(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:-1] + last_cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config_path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+        assert main(["evaluate", "--config", str(config_path),
+                     "--features", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and f"{path} line 6" in err

@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reviewtime import collab
-from reviewtime.errors import EmptyInputError
+from reviewtime.dataset import sort_by_creation
+from reviewtime.errors import EmptyInputError, SchemaError
 from reviewtime.features import (
     FEATURE_DIMENSIONS,
     FEATURE_NAMES,
@@ -357,3 +358,42 @@ class TestFeaturize:
         assert sub.X.shape == (11, 2)
         with pytest.raises(KeyError):
             matrix.restrict(["nope"])
+
+
+@pytest.fixture(scope="module")
+def shuffled_history():
+    """120 fixture changes over about seven weeks, in shuffled order."""
+    config = CrawlConfig(base_url="http://fixture.invalid")
+    records = [normalize_change(RawChange(doc, BASE_TIME), config)
+               for doc in generate_corpus(120, seed=4)]
+    np.random.default_rng(1).shuffle(records)
+    return records
+
+
+class TestSweep:
+    @pytest.mark.parametrize("window_days", [7, 30, 365])
+    def test_matches_per_record_definition(self, shuffled_history, window_days):
+        # the sweep's running index and window slice must give the bytes of
+        # each record's own view of the creation-ordered history
+        ordered = sort_by_creation(shuffled_history)
+        expected = [
+            extract_all(r, ordered, collab.build_graph(ordered, r.created_at,
+                                                       window_days))
+            for r in ordered if r.closed_at is not None
+        ]
+        matrix = featurize(shuffled_history, history=shuffled_history,
+                           window_days=window_days)
+        assert matrix.X.tobytes() == FeatureMatrix.from_vectors(expected).X.tobytes()
+
+    def test_change_twice_in_history_is_rejected(self):
+        history = [make_record(i, created=BASE_TIME + timedelta(days=i))
+                   for i in range(1, 5)]
+        with pytest.raises(SchemaError, match="change 2 "):
+            featurize(history[3:], history=history + [history[1]])
+
+    def test_record_created_at_another_time_is_rejected(self):
+        history = [make_record(i, created=BASE_TIME + timedelta(days=i))
+                   for i in range(1, 5)]
+        record = make_record(3, created=BASE_TIME + timedelta(days=9))
+        with pytest.raises(SchemaError, match="change 3 "):
+            featurize([record], history=history)
