@@ -8,10 +8,13 @@ unweighted simple graph.
 
 from __future__ import annotations
 
-from collections import deque
+import math
+from bisect import bisect_left
+from collections import Counter, deque
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -63,18 +66,20 @@ class CollabFeatures:
 
 def build_graph(history: Sequence[ChangeRecord], as_of: datetime,
                 window_days: int = DEFAULT_WINDOW_DAYS) -> InteractionGraph:
-    """Accumulate owner-participant interactions over the window before as_of."""
+    """Accumulate owner-participant interactions over the window before as_of.
+
+    Each in-window change counts its ``interaction_pairs`` into the weights,
+    whose keys keep the order of each pair's first occurrence.  Nodes are
+    added in that key order, so every node enters the set at its first
+    appearance, as it would if it were added at every occurrence: the set
+    table, and so the iteration order of ``nodes`` and ``adjacency`` that
+    betweenness sums its floats in, is the same.
+    """
     window_start = as_of - timedelta(days=window_days)
-    weights: dict[tuple[int, int], int] = {}
-    nodes: set[int] = set()
-    for change in history:
-        if not (window_start <= change.created_at < as_of):
-            continue
-        owner = change.owner_id
-        for participant in change.participants:
-            key = (owner, participant) if owner < participant else (participant, owner)
-            weights[key] = weights.get(key, 0) + 1
-            nodes.update(key)
+    weights = dict(Counter(chain.from_iterable(
+        change.interaction_pairs for change in history
+        if window_start <= change.created_at < as_of)))
+    nodes = set(chain.from_iterable(weights))
     return InteractionGraph(nodes=frozenset(nodes), edges=weights)
 
 
@@ -88,10 +93,6 @@ def _bfs_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
-
-
-def _component_of(adj: dict[int, set[int]], v: int) -> list[int]:
-    return sorted(_bfs_distances(adj, v))
 
 
 def degree_centrality(graph: InteractionGraph, v: int) -> float:
@@ -197,38 +198,54 @@ def eigenvector_centrality(graph: InteractionGraph, v: int) -> float:
 
     The converged vector is rescaled so its largest entry is 1; the iterate is
     damped by 0.5 to suppress oscillation on bipartite components.
+
+    The iteration is a pure function of the sorted component and its edge
+    set: it builds its matrix in sorted component order, so two graphs with
+    the same component edges give the same vector to the last bit, whatever
+    order their sets iterate in.  Consecutive records often share the
+    owner's component, so the last solve is kept and reused; a failed solve
+    raises and is not kept.
     """
     if v not in graph.nodes:
         return 0.0
     adj = graph.adjacency
     if not adj[v]:
         return 0.0
-    component = _component_of(adj, v)
+    component = tuple(sorted(_bfs_distances(adj, v)))
+    edges = frozenset((u, w) for u in component for w in adj[u] if u < w)
+    x = _component_eigenvector(component, edges)
+    return float(x[bisect_left(component, v)] / x.max())
+
+
+@lru_cache(maxsize=1)
+def _component_eigenvector(component: tuple[int, ...],
+                           edges: frozenset[tuple[int, int]]) -> np.ndarray:
+    """Absolute damped power-iteration vector, in sorted component order.
+
+    Every node of a connected component of two or more nodes has a
+    neighbour, so the iterate stays positive and no norm is zero.  Cache
+    hits share the returned array, so it is read-only.
+    """
     index = {u: i for i, u in enumerate(component)}
     m = len(component)
     a = np.zeros((m, m))
-    for u in component:
-        for w in adj[u]:
-            a[index[u], index[w]] = 1.0
+    for u, w in edges:
+        a[index[u], index[w]] = 1.0
+        a[index[w], index[u]] = 1.0
     x = np.full(m, 1.0 / np.sqrt(m))
     for _ in range(EIGENVECTOR_MAX_ITER):
         y = a @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        y /= norm
+        y /= math.sqrt(y.dot(y))
         x_new = 0.5 * x + 0.5 * y
-        x_new /= np.linalg.norm(x_new)
-        if np.max(np.abs(x_new - x)) < EIGENVECTOR_TOL:
-            x = x_new
-            break
+        x_new /= math.sqrt(x_new.dot(x_new))
+        if np.abs(x_new - x).max() < EIGENVECTOR_TOL:
+            x = np.abs(x_new)
+            x.flags.writeable = False
+            return x
         x = x_new
-    else:
-        raise ConvergenceFailureError(
-            f"eigenvector iteration did not converge in {EIGENVECTOR_MAX_ITER} steps"
-        )
-    x = np.abs(x)
-    return float(x[index[v]] / np.max(x))
+    raise ConvergenceFailureError(
+        f"eigenvector iteration did not converge in {EIGENVECTOR_MAX_ITER} steps"
+    )
 
 
 def clustering_coefficient(graph: InteractionGraph, v: int) -> float:

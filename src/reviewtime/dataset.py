@@ -9,6 +9,7 @@ attributing each dropped record to the first matching rule.
 from __future__ import annotations
 
 import json
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -136,16 +137,25 @@ def sort_by_creation(records: Sequence[ChangeRecord]) -> list[ChangeRecord]:
 
 # --- serialization ---
 
-def _dt_to_str(dt: datetime | None) -> str | None:
+_TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}"
+                        r"\.[0-9]{6}Z")
+
+
+def format_timestamp(dt: datetime | None) -> str | None:
+    """UTC ``YYYY-MM-DDTHH:MM:SS.ffffffZ``, the one shape the files hold."""
     if dt is None:
         return None
     return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
 
-def _dt_from_str(value: str | None) -> datetime | None:
+def parse_timestamp(value: str | None) -> datetime | None:
+    """Read what :func:`format_timestamp` writes; any other shape is a ValueError."""
     if value is None:
         return None
-    return datetime.strptime(value, "%Y-%m-%dT%H:%M:%S.%fZ").replace(tzinfo=timezone.utc)
+    if not isinstance(value, str) or not _TIMESTAMP.fullmatch(value):
+        raise ValueError(f"timestamp {value!r} is not of the form "
+                         "YYYY-MM-DDTHH:MM:SS.ffffffZ")
+    return datetime.fromisoformat(value[:-1]).replace(tzinfo=timezone.utc)
 
 
 def record_to_json(record: ChangeRecord) -> dict:
@@ -155,8 +165,8 @@ def record_to_json(record: ChangeRecord) -> dict:
         "project": record.project,
         "branch": record.branch,
         "status": record.status.value,
-        "created_at": _dt_to_str(record.created_at),
-        "closed_at": _dt_to_str(record.closed_at),
+        "created_at": format_timestamp(record.created_at),
+        "closed_at": format_timestamp(record.closed_at),
         "owner_id": record.owner_id,
         "owner_name": record.owner_name,
         "owner_tz_offset_minutes": record.owner_tz_offset_minutes,
@@ -175,7 +185,7 @@ def record_to_json(record: ChangeRecord) -> dict:
             {
                 "author_id": m.author_id,
                 "author_name": m.author_name,
-                "posted_at": _dt_to_str(m.posted_at),
+                "posted_at": format_timestamp(m.posted_at),
                 "text": m.text,
                 "revision_number": m.revision_number,
                 "from_bot": m.from_bot,
@@ -191,14 +201,22 @@ def record_to_json(record: ChangeRecord) -> dict:
 
 def record_from_json(doc: dict) -> ChangeRecord:
     try:
+        for name in ("number", "owner_id", "owner_tz_offset_minutes",
+                     "insertions_total", "deletions_total"):
+            require_number(doc[name], name, int)
+        for f in doc["files"]:
+            require_number(f["lines_inserted"], "lines_inserted", int)
+            require_number(f["lines_deleted"], "lines_deleted", int)
+        for m in doc["messages"]:
+            require_number(m["author_id"], "author_id", int)
         return ChangeRecord(
             change_id=doc["change_id"],
             number=doc["number"],
             project=doc["project"],
             branch=doc["branch"],
             status=ChangeStatus(doc["status"]),
-            created_at=_dt_from_str(doc["created_at"]),
-            closed_at=_dt_from_str(doc["closed_at"]),
+            created_at=parse_timestamp(doc["created_at"]),
+            closed_at=parse_timestamp(doc["closed_at"]),
             owner_id=doc["owner_id"],
             owner_name=doc["owner_name"],
             owner_tz_offset_minutes=doc["owner_tz_offset_minutes"],
@@ -217,7 +235,7 @@ def record_from_json(doc: dict) -> ChangeRecord:
                 ReviewMessage(
                     author_id=m["author_id"],
                     author_name=m["author_name"],
-                    posted_at=_dt_from_str(m["posted_at"]),
+                    posted_at=parse_timestamp(m["posted_at"]),
                     text=m["text"],
                     revision_number=m["revision_number"],
                     from_bot=m["from_bot"],
@@ -241,7 +259,7 @@ def write_manifest(manifest: DatasetManifest, data_path: str | Path) -> None:
     doc = {
         "project": manifest.project,
         "crawl_query": manifest.crawl_query,
-        "created_at": _dt_to_str(manifest.created_at),
+        "created_at": format_timestamp(manifest.created_at),
         "count": manifest.count,
         "schema_version": manifest.schema_version,
         "complete": manifest.complete,
@@ -263,7 +281,7 @@ def read_manifest(data_path: str | Path) -> DatasetManifest:
     return DatasetManifest(
         project=doc["project"],
         crawl_query=doc["crawl_query"],
-        created_at=_dt_from_str(doc["created_at"]),
+        created_at=parse_timestamp(doc["created_at"]),
         count=doc["count"],
         schema_version=doc["schema_version"],
         complete=doc["complete"],

@@ -12,14 +12,14 @@ import csv
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import collab
-from .dataset import completion_time_hours, sort_by_creation
+from .dataset import completion_time_hours, parse_timestamp, sort_by_creation
 from .errors import EmptyInputError, SchemaError
 from .gerrit import ChangeRecord, ChangeStatus
 
@@ -208,8 +208,7 @@ class FeatureMatrix:
                                       f"{len(header)} cells, got {len(row)}")
                 try:
                     numbers.append(int(row[0]))
-                    created.append(datetime.strptime(row[1], "%Y-%m-%dT%H:%M:%S.%fZ")
-                                   .replace(tzinfo=timezone.utc))
+                    created.append(parse_timestamp(row[1]))
                     ys.append(float(row[2]))
                     rows.append([float(v) for v in row[3:]])
                 except ValueError as exc:

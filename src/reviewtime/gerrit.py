@@ -174,14 +174,19 @@ class ChangeRecord:
             raise SchemaError(f"change {self.number}: closed_at precedes created_at")
 
     @cached_property
-    def participants(self) -> set[int]:
-        """Distinct human message authors other than the owner.
+    def interaction_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (owner, participant) keys, one per distinct participant.
 
-        Built once per record, so every reader iterates the same set in the
-        same order; callers must not mutate it.
+        Participants are the human message authors other than the owner,
+        taken in the iteration order of their set.  Built once per record,
+        so every window graph that holds the record counts the same keys in
+        the same order.
         """
-        return {m.author_id for m in self.messages
-                if m.author_id != self.owner_id and not m.from_bot}
+        owner = self.owner_id
+        participants = {m.author_id for m in self.messages
+                        if m.author_id != owner and not m.from_bot}
+        return tuple((owner, p) if owner < p else (p, owner)
+                     for p in participants)
 
 
 def parse_gerrit_json(body: bytes | str) -> Any:

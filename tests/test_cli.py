@@ -356,7 +356,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize("field, value", [
         ("status", "BOGUS"),
         ("created_at", "2021-04-26 10:00"),
+        ("created_at", "2021-4-26T10:0:0.1Z"),
         ("files", 3),
+        ("owner_id", "100"),
     ])
     def test_filter_names_the_malformed_line(self, tmp_path, capsys, field, value):
         path = tmp_path / "in.jsonl"

@@ -23,6 +23,7 @@ from reviewtime.collab import (
     degree_centrality,
     eigenvector_centrality,
 )
+from reviewtime.errors import ConvergenceFailureError
 from reviewtime.gerrit import CrawlConfig, RawChange, normalize_change
 from reviewtime.gerrit_fixture import generate_corpus
 
@@ -311,6 +312,148 @@ class TestBetweennessKernel:
             for v in graph.nodes:
                 assert betweenness_centrality(graph, v) == \
                     reference_betweenness(graph, v), (sorted(graph.edges), v)
+
+
+def reference_build_graph(history, as_of, window_days=collab.DEFAULT_WINDOW_DAYS):
+    """The per-occurrence loop: each pair occurrence adds its nodes again.
+
+    ``build_graph`` must give the same iteration order of nodes, edges and
+    neighbour sets, because betweenness sums its floats in that order.
+    """
+    window_start = as_of - timedelta(days=window_days)
+    weights: dict[tuple[int, int], int] = {}
+    nodes: set[int] = set()
+    for change in history:
+        if not (window_start <= change.created_at < as_of):
+            continue
+        owner = change.owner_id
+        participants = {m.author_id for m in change.messages
+                        if m.author_id != owner and not m.from_bot}
+        for participant in participants:
+            key = (owner, participant) if owner < participant else (participant, owner)
+            weights[key] = weights.get(key, 0) + 1
+            nodes.update(key)
+    return InteractionGraph(nodes=frozenset(nodes), edges=weights)
+
+
+def colliding_histories(seed):
+    """Histories on ids 10 000 + 8k and 10 000 + 32k, in a shuffled order.
+
+    The ids fall into the same slots of small set tables, so the iteration
+    order of a node or neighbour set depends on the order of insertion.
+    """
+    rng = np.random.default_rng(seed)
+    for step, count in ((8, 6), (8, 14), (32, 40)):
+        ids = [10_000 + step * k for k in range(count)]
+        records = []
+        for number in range(1, 60):
+            owner, *others = (int(i) for i in rng.choice(ids, 4, replace=False))
+            authors = others[:int(rng.integers(0, 4))] + [owner]
+            records.append(make_record(
+                number, owner=owner,
+                created=BASE_TIME + timedelta(hours=number),
+                messages=tuple(make_message(a) for a in rng.permutation(authors))))
+        yield records
+
+
+def assert_same_iteration_order(got, want):
+    assert list(got.nodes) == list(want.nodes)
+    assert list(got.edges.items()) == list(want.edges.items())
+    for u in want.nodes:
+        assert list(got.adjacency[u]) == list(want.adjacency[u])
+
+
+class TestBuildGraphOrder:
+    def test_corpus_windows_iterate_as_the_reference(self):
+        config = CrawlConfig(base_url="http://fixture.invalid")
+        records = [normalize_change(RawChange(doc, BASE_TIME), config)
+                   for doc in generate_corpus(120, seed=4)]
+        for k in range(10, len(records), 10):
+            for window_days in (7, 30, 365):
+                as_of = records[k].created_at
+                assert_same_iteration_order(
+                    build_graph(records[:k], as_of, window_days),
+                    reference_build_graph(records[:k], as_of, window_days))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_colliding_ids_iterate_as_the_reference(self, seed):
+        for records in colliding_histories(seed):
+            for k in range(5, len(records), 6):
+                as_of = records[k].created_at
+                for window_days in (1, 365):
+                    assert_same_iteration_order(
+                        build_graph(records[:k], as_of, window_days),
+                        reference_build_graph(records[:k], as_of, window_days))
+
+
+def reference_eigenvector(graph, v):
+    """The power iteration as it ran before it was memoized per component."""
+    if v not in graph.nodes:
+        return 0.0
+    adj = graph.adjacency
+    if not adj[v]:
+        return 0.0
+    component = sorted(collab._bfs_distances(adj, v))
+    index = {u: i for i, u in enumerate(component)}
+    m = len(component)
+    a = np.zeros((m, m))
+    for u in component:
+        for w in adj[u]:
+            a[index[u], index[w]] = 1.0
+    x = np.full(m, 1.0 / np.sqrt(m))
+    for _ in range(collab.EIGENVECTOR_MAX_ITER):
+        y = a @ x
+        norm = np.linalg.norm(y)
+        if norm == 0.0:
+            return 0.0
+        y /= norm
+        x_new = 0.5 * x + 0.5 * y
+        x_new /= np.linalg.norm(x_new)
+        if np.max(np.abs(x_new - x)) < collab.EIGENVECTOR_TOL:
+            x = x_new
+            break
+        x = x_new
+    else:
+        raise ConvergenceFailureError("no convergence")
+    x = np.abs(x)
+    return float(x[index[v]] / np.max(x))
+
+
+class TestEigenvectorMemo:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_on_labelled_graphs(self, seed):
+        for graph in labelled_graphs(seed):
+            for v in graph.nodes:
+                assert eigenvector_centrality(graph, v) == \
+                    reference_eigenvector(graph, v), (sorted(graph.edges), v)
+
+    def test_bit_identical_on_corpus_graphs(self):
+        for graph in corpus_graphs():
+            for v in graph.nodes:
+                assert eigenvector_centrality(graph, v) == \
+                    reference_eigenvector(graph, v), (sorted(graph.edges), v)
+
+    def test_same_edge_set_in_another_order_is_a_hit(self):
+        edges = [(10_000 + 8 * i, 10_000 + 8 * j)
+                 for i in range(7) for j in range(i + 1, 7) if (i * j + i) % 3]
+        first = graph_from_edges(edges)
+        second = graph_from_edges(reversed(edges))
+        assert list(first.nodes) != list(second.nodes)
+        solve = collab._component_eigenvector
+        solve.cache_clear()
+        for v in sorted(first.nodes):
+            assert eigenvector_centrality(first, v) == reference_eigenvector(first, v)
+            assert eigenvector_centrality(second, v) == reference_eigenvector(second, v)
+        info = solve.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(first.nodes) - 1)
+
+    def test_failure_is_raised_again_not_cached(self, monkeypatch):
+        monkeypatch.setattr(collab, "EIGENVECTOR_MAX_ITER", 1)
+        collab._component_eigenvector.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ConvergenceFailureError):
+                eigenvector_centrality(STAR, 0)
+        collab._component_eigenvector.cache_clear()
 
 
 @st.composite

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from datetime import timedelta
 
 import pytest
@@ -180,6 +181,63 @@ class TestPersistence:
         ds.write_dataset(records, tmp_path / "d.jsonl")
         loaded, _ = ds.read_dataset(tmp_path / "d.jsonl")
         assert loaded == records
+
+
+class TestTimestamps:
+    def test_round_trip_to_the_microsecond(self):
+        stamp = BASE_TIME + timedelta(microseconds=123_456)
+        text = ds.format_timestamp(stamp)
+        assert text == "2021-04-26T10:00:00.123456Z"
+        assert ds.parse_timestamp(text) == stamp
+        assert ds.parse_timestamp(text).tzinfo is not None
+
+    @pytest.mark.parametrize("value", [
+        "2019-3-4T5:6:7.1Z",
+        "2019-03-04T05:06:07.100000",
+        "2019-03-04T05:06:07.100000+00:00",
+        "2019-03-04 05:06:07.100000Z",
+        "2019-03-04T05:06:07Z",
+        "2019-13-04T05:06:07.100000Z",
+        "２０１９-03-04T05:06:07.100000Z",
+        20190304,
+    ])
+    def test_other_shapes_are_rejected(self, value):
+        with pytest.raises(ValueError):
+            ds.parse_timestamp(value)
+
+
+def rewrite_second_record(path, edit):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[1])
+    edit(doc)
+    path.write_text(lines[0] + "\n" + json.dumps(doc) + "\n", encoding="utf-8")
+
+
+class TestRecordTypes:
+    @pytest.mark.parametrize("part, field, value", [
+        (None, "number", "2"),
+        (None, "owner_id", "100"),
+        (None, "owner_id", 100.0),
+        (None, "owner_tz_offset_minutes", True),
+        ("files", "lines_inserted", 1.5),
+        ("files", "lines_deleted", "2"),
+        ("messages", "author_id", "101"),
+    ])
+    def test_wrong_type_names_field_and_line(self, tmp_path, part, field, value):
+        path = tmp_path / "d.jsonl"
+        ds.write_dataset([make_record(1), make_record(2)], path)
+        rewrite_second_record(
+            path, lambda doc: (doc[part][0] if part else doc).update({field: value}))
+        with pytest.raises(SchemaError, match=f"line 2: {field} must be an integer"):
+            ds.read_dataset(path)
+
+    def test_short_timestamp_names_the_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        ds.write_dataset([make_record(1), make_record(2)], path)
+        rewrite_second_record(
+            path, lambda d: d["messages"][0].update(posted_at="2021-4-26T11:0:0.1Z"))
+        with pytest.raises(SchemaError, match="line 2: timestamp"):
+            ds.read_dataset(path)
 
 
 class TestSort:

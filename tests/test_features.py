@@ -349,6 +349,18 @@ class TestFeaturize:
         np.testing.assert_array_equal(loaded.change_numbers, matrix.change_numbers)
         assert loaded.created_at == matrix.created_at
 
+    def test_csv_short_timestamp_names_the_row(self, tmp_path):
+        records = [make_record(i, created=BASE_TIME + timedelta(days=i),
+                               duration_hours=30.0 + i) for i in range(1, 4)]
+        featurize(records).to_csv(tmp_path / "f.csv")
+        lines = (tmp_path / "f.csv").read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "2021-4-28T10:0:0.0Z"
+        lines[2] = ",".join(cells)
+        (tmp_path / "f.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="line 3: timestamp"):
+            FeatureMatrix.from_csv(tmp_path / "f.csv")
+
     def test_restrict(self):
         records = [make_record(i, created=BASE_TIME + timedelta(days=i),
                                duration_hours=30.0) for i in range(1, 12)]
