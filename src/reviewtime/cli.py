@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crawl", help="fetch changes from the Gerrit server")
     common(p)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent detail fetches")
+    p.add_argument("--jobs", type=int, default=1, help="concurrent diff fetches")
     p.set_defaults(func=cmd_crawl)
 
     p = sub.add_parser("filter", help="apply the training-data filters")

@@ -71,6 +71,10 @@ class NonPositiveActualError(ReviewTimeError):
     pass
 
 
+class NonFinitePredictionError(ReviewTimeError):
+    pass
+
+
 # --- stats ---
 
 class AllZeroDifferencesError(ReviewTimeError):

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     EmptyInputError,
     LengthMismatchError,
+    NonFinitePredictionError,
     NonPositiveActualError,
     TooFewRecordsError,
 )
@@ -258,6 +259,11 @@ def _fit_iteration(data: FeatureMatrix, config: PipelineConfig, iteration: int,
 
     model = fit(spec, X_train, y_train, names)
     pred = model.predict(X_test)
+    # a NaN would pass through the metrics as a result; fail the iteration
+    bad = int(np.count_nonzero(~np.isfinite(pred)))
+    if bad:
+        raise NonFinitePredictionError(f"{bad} of {pred.size} predictions "
+                                       "are not finite")
     iteration_sa = sa(pred, y_test, y_train,
                       seed=_sa_seed(config.base_seed, iteration))
     return mae(pred, y_test), mre(pred, y_test), iteration_sa

@@ -1,10 +1,12 @@
 """Gerrit REST ingestion: fetch change data and normalize it into ChangeRecords.
 
 The transport layer speaks the Gerrit changes REST protocol (XSSI guard,
-`_more_changes` pagination, detail endpoint with ALL_REVISIONS / ALL_COMMITS /
-ALL_FILES / MESSAGES / DETAILED_ACCOUNTS options).  Normalization turns the raw
-JSON documents into :class:`ChangeRecord` values; :func:`crawl_project` streams
-them into a JSONL dataset with idempotent resume by change number.
+`_more_changes` pagination, a listing that asks for the ALL_REVISIONS /
+ALL_COMMITS / ALL_FILES / MESSAGES / DETAILED_ACCOUNTS options, so each page
+carries full change documents, and per-file revision diffs).  Normalization
+turns the raw JSON documents into :class:`ChangeRecord` values;
+:func:`crawl_project` streams them into a JSONL dataset with idempotent resume
+by change number.
 """
 
 from __future__ import annotations
@@ -240,15 +242,28 @@ def parse_diff_segments(diff_doc: dict) -> tuple[int, int, int]:
 
 
 class GerritClient:
-    """Paced, retrying HTTP client for the Gerrit changes REST API."""
+    """Paced, retrying HTTP client for the Gerrit changes REST API.
 
-    def __init__(self, config: CrawlConfig, session: requests.Session | None = None):
+    The environment is read once, here: the proxies for ``base_url``
+    (``*_PROXY``, ``NO_PROXY``), basic auth from ``GERRIT_HTTP_USER`` /
+    ``GERRIT_HTTP_PASSWORD`` or else ``.netrc``, and the CA bundle from
+    ``REQUESTS_CA_BUNDLE`` / ``CURL_CA_BUNDLE``.  Every request goes to the
+    host of ``base_url``, so what ``requests`` would look up per request is
+    the same each time.  Call :meth:`close` when done.
+    """
+
+    def __init__(self, config: CrawlConfig):
         self.config = config
-        self.session = session or requests.Session()
+        self.session = requests.Session()
+        self.session.trust_env = False
+        base_url = config.base_url
+        self.session.proxies = requests.utils.get_environ_proxies(base_url)
         user = os.environ.get(AUTH_USER_ENV)
         password = os.environ.get(AUTH_PASSWORD_ENV)
-        if user and password:
-            self.session.auth = (user, password)
+        self.session.auth = (user, password) if user and password \
+            else requests.utils.get_netrc_auth(base_url)
+        self.session.verify = os.environ.get("REQUESTS_CA_BUNDLE") \
+            or os.environ.get("CURL_CA_BUNDLE") or True
         self.request_log: list[float] = []
         self._pace_lock = threading.Lock()
         self._last_request_start: float | None = None
@@ -264,6 +279,10 @@ class GerritClient:
                     now = time.monotonic()
             self._last_request_start = now
             self.request_log.append(now)
+
+    def close(self) -> None:
+        """Close the session and its pooled connections."""
+        self.session.close()
 
     def _get(self, path: str, params: dict | None = None) -> Any:
         url = self.config.base_url.rstrip("/") + path
@@ -294,7 +313,8 @@ class GerritClient:
             raise ValueError("start_offset must be >= 0")
         payload = self._get(
             "/changes/",
-            params={"q": self.config.query, "n": self.config.page_size, "start": start_offset},
+            params={"q": self.config.query, "n": self.config.page_size,
+                    "start": start_offset, "o": list(DETAIL_OPTIONS)},
         )
         if not isinstance(payload, list):
             raise MalformedJsonError("change listing is not a JSON array")
@@ -303,16 +323,14 @@ class GerritClient:
         more = bool(payload and payload[-1].get("_more_changes"))
         return changes, more
 
-    def fetch_change_detail(self, change_number: int) -> RawChange:
-        doc = self._get(
-            f"/changes/{change_number}/detail",
-            params={"o": list(DETAIL_OPTIONS)},
-        )
-        if not isinstance(doc, dict):
-            raise MalformedJsonError("change detail is not a JSON object")
+    def fetch_change_detail(self, doc: dict) -> RawChange:
+        """Complete a listing document: attach its per-file revision diffs.
+
+        The listing already carries the detail options, so this fetches
+        only the diffs, and nothing when ``fetch_file_diffs`` is off.
+        """
         if self.config.fetch_file_diffs:
-            doc = dict(doc)
-            doc["_file_diffs"] = self._fetch_revision_diffs(doc)
+            doc = {**doc, "_file_diffs": self._fetch_revision_diffs(doc)}
         return RawChange(data=doc, fetched_at=datetime.now(timezone.utc))
 
     def _fetch_revision_diffs(self, doc: dict) -> dict[str, dict]:
@@ -455,8 +473,9 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
     """Crawl all changes matching the config query into a JSONL dataset.
 
     Appends incrementally and skips change numbers already present in the
-    output file, so an interrupted crawl can be resumed by re-running.  Detail
-    fetches may run concurrently (``jobs``), at most one listing page of them
+    output file, so an interrupted crawl can be resumed by re-running.  Each
+    listing page carries full change documents; the changes' file diffs may
+    be fetched concurrently (``jobs``), at most one listing page of them
     ahead of the writer; writes are serialized.
     Returns the final DatasetManifest.
     """
@@ -467,7 +486,6 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
     seen = ds.existing_change_numbers(output_path)
     segments_from_diff = config.fetch_file_diffs
 
-    client = GerritClient(config)
     manifest = ds.DatasetManifest(
         project="",
         crawl_query=config.query,
@@ -479,8 +497,10 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
     )
     ds.write_manifest(manifest, output_path)
 
-    def fetch_and_normalize(number: int) -> ChangeRecord:
-        return normalize_change(client.fetch_change_detail(number), config)
+    client = GerritClient(config)
+
+    def fetch_and_normalize(doc: dict) -> ChangeRecord:
+        return normalize_change(client.fetch_change_detail(doc), config)
 
     exhausted = False
     try:
@@ -490,14 +510,15 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
             # Executor.map drains its input up front, so fetch one listing
             # page at a time: the next page is listed after this one is written
             for page in client.iter_pages():
-                numbers = [doc["_number"] for doc in page if doc["_number"] not in seen]
-                for record in (pool.map if pool else map)(fetch_and_normalize, numbers):
+                unseen = [doc for doc in page if doc["_number"] not in seen]
+                for record in (pool.map if pool else map)(fetch_and_normalize, unseen):
                     append(record)
                     seen.add(record.number)
                     manifest = replace(manifest, count=len(seen),
                                        project=record.project or manifest.project)
         exhausted = True
     finally:
+        client.close()
         manifest = replace(manifest, count=len(seen), complete=exhausted)
         ds.write_manifest(manifest, output_path)
     return manifest

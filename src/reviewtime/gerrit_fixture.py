@@ -3,8 +3,9 @@
 The corpus generator plants a learnable signal: completion time grows with
 churn, file count and weekend creation, so pipeline runs on fixture data have
 something to predict.  The server speaks enough of the changes REST protocol
-for the crawler: listing with pagination, detail documents, per-file diffs,
-and the XSSI guard on every response.
+for the crawler: listing with pagination (full change documents when asked
+for options with ``o``), per-file diffs, the XSSI guard on every response,
+and HTTP/1.1 persistent connections.
 """
 
 from __future__ import annotations
@@ -190,9 +191,19 @@ def generate_corpus(n_changes: int = 200, seed: int = 0) -> list[dict]:
 
 class _FixtureHandler(BaseHTTPRequestHandler):
     server_version = "FixtureGerrit/1.0"
+    # keep connections open, as Gerrit does.  The headers and the body go
+    # out in two sends, so without TCP_NODELAY Nagle's algorithm holds the
+    # body until the client's delayed ACK: ~40 ms per response.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, fmt, *args):  # quiet test output
         pass
+
+    def setup(self):
+        super().setup()
+        with self.server.stats_lock:
+            self.server.connection_count += 1
 
     def _send_json(self, payload, status: int = 200) -> None:
         body = b")]}'\n" + json.dumps(payload).encode("utf-8")
@@ -216,28 +227,21 @@ class _FixtureHandler(BaseHTTPRequestHandler):
         params = parse_qs(parsed.query)
         path = parsed.path
 
-        detail = re.fullmatch(r"/changes/(\d+)/detail", path)
         diff = re.fullmatch(r"/changes/(\d+)/revisions/1/files/(.+)/diff", path)
         if path == "/changes/":
             start = int(params.get("start", ["0"])[0])
             limit = int(params.get("n", ["25"])[0])
             page = server.listing[start:start + limit]
-            light_keys = ("id", "change_id", "project", "branch", "_number",
-                          "status", "created", "updated", "subject")
-            docs = [{k: doc[k] for k in light_keys if k in doc} for doc in page]
+            if "o" in params:  # any option: the full document
+                docs = [{k: v for k, v in doc.items() if k != "_diffs"}
+                        for doc in page]
+            else:
+                light_keys = ("id", "change_id", "project", "branch", "_number",
+                              "status", "created", "updated", "subject")
+                docs = [{k: doc[k] for k in light_keys if k in doc} for doc in page]
             if docs and start + limit < len(server.listing):
                 docs[-1]["_more_changes"] = True
             self._send_json(docs)
-        elif detail:
-            number = int(detail.group(1))
-            doc = server.by_number.get(number)
-            if doc is None:
-                self.send_response(404)
-                self.send_header("Content-Length", "0")
-                self.end_headers()
-                return
-            payload = {k: v for k, v in doc.items() if k != "_diffs"}
-            self._send_json(payload)
         elif diff:
             number = int(diff.group(1))
             file_path = unquote(diff.group(2))
@@ -264,6 +268,7 @@ class FixtureGerritServer:
         self._httpd.by_number = {d["_number"]: d for d in changes}
         self._httpd.stats_lock = threading.Lock()
         self._httpd.request_count = 0
+        self._httpd.connection_count = 0
         self._httpd.fail_next = 0  # inject this many 503 responses
         self._thread: threading.Thread | None = None
 
@@ -276,6 +281,12 @@ class FixtureGerritServer:
     def request_count(self) -> int:
         with self._httpd.stats_lock:
             return self._httpd.request_count
+
+    @property
+    def connection_count(self) -> int:
+        """Connections accepted so far."""
+        with self._httpd.stats_lock:
+            return self._httpd.connection_count
 
     def set_fail_next(self, count: int) -> None:
         with self._httpd.stats_lock:

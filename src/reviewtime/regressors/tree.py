@@ -1,6 +1,8 @@
 """CART regression tree with variance-reduction splitting.
 
-Thresholds are midpoints between consecutive distinct sorted values.  Each
+Thresholds are midpoints between consecutive distinct sorted values, or the
+lower value where the midpoint rounds up to the upper one, so that neither
+child is ever empty (scikit-learn's splitter does the same).  Each
 node scores every candidate feature in one vectorized pass.  Within one
 feature, exact gain ties go to the lowest threshold; across features, a
 later candidate replaces the best so far only if its gain is larger by more
@@ -95,7 +97,10 @@ class RegressionTree:
         if best < 0:
             return node
         best_feature = int(feats[best])
-        best_threshold = float((v[pos[best], best] + v[pos[best] + 1, best]) / 2.0)
+        low, high = v[pos[best], best], v[pos[best] + 1, best]
+        best_threshold = float((low + high) / 2.0)
+        if best_threshold >= high:  # adjacent floats: the midpoint rounds up
+            best_threshold = float(low)
         self.importances_[best_feature] += best_gain
         go_left = X[idx, best_feature] <= best_threshold
         self.feature[node] = best_feature

@@ -24,6 +24,7 @@ from reviewtime.evaluation import (
 )
 from reviewtime.preprocess import NormalizerKind
 from reviewtime.regressors import Algorithm, HyperGrid, RegressorSpec
+from reviewtime.regressors.base import TrainedModel
 
 from conftest import synthetic_matrix
 
@@ -234,6 +235,14 @@ class TestOnlineValidation:
         result = run_online_validation(data, config)
         assert result.failures == 0
         assert all(np.isfinite(r.mae) for r in result.records)
+
+    def test_non_finite_predictions_fail_the_iteration(self, monkeypatch):
+        monkeypatch.setattr(TrainedModel, "predict",
+                            lambda self, X: np.full(len(X), np.nan))
+        result = run_online_validation(synthetic_matrix(n=60), quick_config())
+        assert result.failures == len(result.records) == 10
+        assert all("NonFinitePredictionError" in r.error for r in result.records)
+        assert result.summary()["mae"]["mean"] is None
 
     def test_too_few_records(self):
         data = synthetic_matrix(n=9)

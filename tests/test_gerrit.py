@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import base64
 import json
+import os
 import time
-from contextlib import contextmanager
+from collections import Counter
+from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
+import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -195,14 +200,31 @@ class TestFetch:
         assert len(page) == 25 and more is False
 
     def test_detail_has_files_and_messages(self, fixture_server):
-        config = make_config(fixture_server.base_url)
-        raw = GerritClient(config).fetch_change_detail(5)
-        assert "revisions" in raw.data and "messages" in raw.data
+        # the listing asks for the detail options, so it carries full documents
+        config = make_config(fixture_server.base_url, fetch_file_diffs=True)
+        client = GerritClient(config)
+        page, _ = client.fetch_change_page(0)
+        doc = page[4].data
+        assert "revisions" in doc and "messages" in doc
+        assert "_diffs" not in doc and "_file_diffs" not in doc
+        raw = client.fetch_change_detail(doc)
+        files = next(iter(doc["revisions"].values()))["files"]
+        assert set(raw.data["_file_diffs"]) == set(files) - {"/COMMIT_MSG"}
 
     def test_unknown_number_not_found(self, fixture_server):
-        config = make_config(fixture_server.base_url)
+        # the per-number detail route is gone: the listing carries the details
+        client = GerritClient(make_config(fixture_server.base_url))
         with pytest.raises(NotFoundError):
-            GerritClient(config).fetch_change_detail(99999)
+            client._get("/changes/5/detail")
+        with pytest.raises(NotFoundError):
+            client._get("/changes/99999/revisions/1/files/a.c/diff")
+
+    def test_listing_without_options_is_light(self, fixture_server):
+        client = GerritClient(make_config(fixture_server.base_url))
+        docs = client._get("/changes/", params={"n": 3})
+        assert [sorted(doc) for doc in docs[:2]] == [[
+            "_number", "branch", "change_id", "created", "id", "project",
+            "status", "subject", "updated"]] * 2
 
     def test_retry_then_success(self, fixture_server):
         config = make_config(fixture_server.base_url, max_retries=2)
@@ -215,6 +237,19 @@ class TestFetch:
         fixture_server.set_fail_next(5)
         with pytest.raises(HttpError):
             GerritClient(config).fetch_change_page(0)
+
+    def test_kept_alive_requests_do_not_wait_for_delayed_ack(self, fixture_server):
+        # with Nagle's algorithm on, the fixture's second send (the body)
+        # waits for the client's delayed ACK: ~40 ms per response
+        client = GerritClient(make_config(fixture_server.base_url, page_size=1))
+        durations = []
+        for offset in range(12):
+            start = time.perf_counter()
+            client.fetch_change_page(offset)
+            durations.append(time.perf_counter() - start)
+        client.close()
+        assert fixture_server.connection_count == 1
+        assert sorted(durations)[6] < 0.020
 
     def test_request_pacing(self, fixture_server):
         config = make_config(fixture_server.base_url, page_size=5,
@@ -271,6 +306,54 @@ class TestCrawl:
         final = crawl_project(make_config(fixture_server.base_url, page_size=10), out)
         assert final.count == 25 and final.complete is True
 
+    def test_one_request_per_listing_page_and_per_file(self, fixture_server,
+                                                       fixture_corpus, tmp_path):
+        out = tmp_path / "changes.jsonl"
+        config = make_config(fixture_server.base_url, page_size=10,
+                             fetch_file_diffs=True)
+        crawl_project(config, out)
+        files = sum(len(doc["_diffs"]) for doc in fixture_corpus)  # no pseudo files
+        assert fixture_server.request_count == 3 + files
+        records, _ = ds.read_dataset(out)
+        assert records == [
+            normalize_change(as_raw({**doc, "_file_diffs": doc["_diffs"]}), config)
+            for doc in sorted(fixture_corpus, key=lambda d: d["created"])]
+
+    def test_resume_fetches_diffs_of_unseen_changes_only(self, fixture_server,
+                                                         fixture_corpus, tmp_path):
+        out = tmp_path / "changes.jsonl"
+        partial = make_config(fixture_server.base_url, page_size=10, max_changes=7,
+                              fetch_file_diffs=True)
+        crawl_project(partial, out)
+        before = fixture_server.request_count
+        crawl_project(replace(partial, max_changes=None), out)
+        listing = sorted(fixture_corpus, key=lambda d: d["created"])
+        unseen_files = sum(len(doc["_diffs"]) for doc in listing[7:])
+        assert fixture_server.request_count - before == 3 + unseen_files
+
+    def test_crawl_reuses_one_connection_through_a_retry(self, fixture_server,
+                                                         tmp_path):
+        config = make_config(fixture_server.base_url, page_size=10,
+                             fetch_file_diffs=True, max_retries=1)
+        fixture_server.set_fail_next(1)
+        crawl_project(config, tmp_path / "c.jsonl", jobs=1)
+        assert fixture_server.request_count > 25
+        assert fixture_server.connection_count == 1
+
+    @pytest.mark.parametrize("fail", [0, 1])
+    def test_crawl_closes_its_session(self, fixture_server, tmp_path,
+                                      monkeypatch, fail):
+        closed = []
+        session_close = requests.Session.close
+        monkeypatch.setattr(requests.Session, "close",
+                            lambda session: (closed.append(session),
+                                             session_close(session)))
+        fixture_server.set_fail_next(fail)
+        config = make_config(fixture_server.base_url, page_size=10)
+        with pytest.raises(HttpError) if fail else nullcontext():
+            crawl_project(config, tmp_path / "c.jsonl")
+        assert len(closed) == 1
+
     def test_crawled_records_satisfy_closure_invariant(self, fixture_server, tmp_path):
         config = make_config(fixture_server.base_url, page_size=10)
         crawl_project(config, tmp_path / "c.jsonl")
@@ -310,3 +393,84 @@ class TestCrawl:
         assert manifest.count == 60 and events.count("list") >= 6
         last_list = len(events) - 1 - events[::-1].index("list")
         assert events.index("write") < last_list
+
+
+def basic_auth(user, password):
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode()).decode()
+
+
+@pytest.fixture()
+def sent(monkeypatch):
+    """Record each request's auth header, proxies and verify setting as sent."""
+    calls = []
+    adapter_send = requests.adapters.HTTPAdapter.send
+
+    def send(adapter, request, **kwargs):
+        calls.append((request.headers.get("Authorization"),
+                      kwargs["proxies"].get("http"), kwargs["verify"]))
+        return adapter_send(adapter, request, **kwargs)
+
+    monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", send)
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy") or name in (
+                "NETRC", "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE",
+                "GERRIT_HTTP_USER", "GERRIT_HTTP_PASSWORD"):
+            monkeypatch.delenv(name)
+    return calls
+
+
+@pytest.fixture()
+def lookups(monkeypatch):
+    """Count environment lookups, wherever requests would make them."""
+    counts = Counter()
+    for name in ("get_environ_proxies", "get_netrc_auth"):
+        original = getattr(requests.utils, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (requests.utils, requests.sessions):
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestClientEnvironment:
+    def test_proxy_netrc_and_ca_bundle_are_read_once(
+            self, fixture_server, tmp_path, monkeypatch, sent, lookups):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login netrc-user password netrc-pw\n")
+        netrc.chmod(0o600)
+        bundle = tmp_path / "ca.pem"
+        bundle.write_text("")
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(bundle))
+        # nothing listens on port 1: only the proxy, the fixture, can answer
+        monkeypatch.setenv("HTTP_PROXY", fixture_server.base_url)
+        client = GerritClient(make_config("http://127.0.0.1:1", page_size=5))
+        for name in ("NETRC", "REQUESTS_CA_BUNDLE", "HTTP_PROXY"):
+            monkeypatch.delenv(name)
+        for offset in (0, 5, 10):
+            page, _ = client.fetch_change_page(offset)
+            assert len(page) == 5
+        assert lookups == {"get_environ_proxies": 1, "get_netrc_auth": 1}
+        assert sent == [(basic_auth("netrc-user", "netrc-pw"),
+                         fixture_server.base_url, str(bundle))] * 3
+
+    def test_no_proxy_and_gerrit_credentials_win(
+            self, fixture_server, tmp_path, monkeypatch, sent, lookups):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login netrc-user password netrc-pw\n")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.setenv("CURL_CA_BUNDLE", str(tmp_path / "curl.pem"))
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:1")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        monkeypatch.setenv("GERRIT_HTTP_USER", "gerrit-user")
+        monkeypatch.setenv("GERRIT_HTTP_PASSWORD", "gerrit-pw")
+        client = GerritClient(make_config(fixture_server.base_url, page_size=5))
+        client.fetch_change_page(0)
+        client.fetch_change_page(5)
+        assert lookups == {"get_environ_proxies": 1}
+        assert sent == [(basic_auth("gerrit-user", "gerrit-pw"), None,
+                         str(tmp_path / "curl.pem"))] * 2

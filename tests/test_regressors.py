@@ -176,6 +176,15 @@ class TestTrees:
         model = fit(RegressorSpec(Algorithm.DT, {"max_depth": None}), X, y)
         np.testing.assert_allclose(model.predict(X), y, atol=1e-12)
 
+    def test_split_between_adjacent_floats_keeps_both_children(self):
+        # the midpoint of two adjacent floats rounds up to the larger one,
+        # which would send both rows left and recurse without end
+        X = np.array([[1.0000000000000002], [1.0000000000000004]])
+        y = np.array([0.0, 1.0])
+        tree = RegressionTree().fit(X, y)
+        assert tree.threshold[0] == X[0, 0]
+        assert tree.predict(X).tolist() == [0.0, 1.0]
+
     def test_max_depth_respected(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(100, 3))
