@@ -37,8 +37,7 @@ class RunConfig:
 _TOP_KEYS = {"crawl", "filter", "keywords", "features", "evaluation", "out_dir", "seed"}
 _FEATURE_KEYS = {"window_days"}
 _EVAL_KEYS = {"repeats", "base_seed", "pipelines"}
-_PIPELINE_KEYS = {"algorithm", "normalizer", "selection", "hyperparameters", "grid",
-                  "repeats"}
+_PIPELINE_KEYS = {"algorithm", "normalizer", "selection", "hyperparameters", "grid"}
 
 
 def _section(doc, where: str, allowed: set[str], build: Callable[[dict], T]) -> T:
@@ -97,7 +96,7 @@ def _pipeline(entry: dict, repeats: int, base_seed: int) -> PipelineConfig:
         selection=entry.get("selection", "none"),
         spec=spec,
         grid=grid,
-        repeats=_count(entry.get("repeats", repeats), "repeats"),
+        repeats=repeats,
         base_seed=base_seed,
     )
 

@@ -75,6 +75,13 @@ class DatasetManifest:
     filter_policy: FilterPolicy | None = None
     segments_from_diff: bool = False
 
+    def __post_init__(self):
+        require_number(self.count, "count", int)
+        for name in ("complete", "segments_from_diff"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, "
+                                 f"got {getattr(self, name)!r}")
+
 
 def completion_time_hours(record: ChangeRecord) -> float:
     """Elapsed hours from change creation to merge or abandonment."""
@@ -256,38 +263,25 @@ def manifest_path(data_path: Path) -> Path:
 
 
 def write_manifest(manifest: DatasetManifest, data_path: str | Path) -> None:
-    doc = {
-        "project": manifest.project,
-        "crawl_query": manifest.crawl_query,
-        "created_at": format_timestamp(manifest.created_at),
-        "count": manifest.count,
-        "schema_version": manifest.schema_version,
-        "complete": manifest.complete,
-        "filter_policy": asdict(manifest.filter_policy) if manifest.filter_policy else None,
-        "segments_from_diff": manifest.segments_from_diff,
-    }
+    doc = {**asdict(manifest), "created_at": format_timestamp(manifest.created_at)}
     path = manifest_path(Path(data_path))
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def read_manifest(data_path: str | Path) -> DatasetManifest:
+    """The manifest next to ``data_path``; any malformed one is a SchemaError."""
     path = manifest_path(Path(data_path))
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise SchemaError(
-            f"unsupported dataset schema version {doc['schema_version']!r}"
-        )
-    policy = FilterPolicy(**doc["filter_policy"]) if doc.get("filter_policy") else None
-    return DatasetManifest(
-        project=doc["project"],
-        crawl_query=doc["crawl_query"],
-        created_at=parse_timestamp(doc["created_at"]),
-        count=doc["count"],
-        schema_version=doc["schema_version"],
-        complete=doc["complete"],
-        filter_policy=policy,
-        segments_from_diff=doc.get("segments_from_diff", False),
-    )
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise SchemaError(f"{path}: unsupported dataset schema version "
+                              f"{doc.get('schema_version')!r}")
+        policy = doc.get("filter_policy")
+        return DatasetManifest(**{
+            **doc, "created_at": parse_timestamp(doc["created_at"]),
+            "filter_policy": FilterPolicy(**policy) if policy else None})
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SchemaError(f"malformed manifest {path}: {exc!r}") from exc
 
 
 @contextmanager
@@ -299,19 +293,6 @@ def dataset_appender(path: str | Path):
             fh.write(json.dumps(record_to_json(record), sort_keys=True) + "\n")
             fh.flush()
         yield append
-
-
-def existing_change_numbers(path: str | Path) -> set[int]:
-    path = Path(path)
-    if not path.exists():
-        return set()
-    numbers: set[int] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                numbers.add(json.loads(line)["number"])
-    return numbers
 
 
 def write_dataset(records: Iterable[ChangeRecord], path: str | Path, *,

@@ -20,6 +20,7 @@ from .errors import (
     LengthMismatchError,
     NonFinitePredictionError,
     NonPositiveActualError,
+    SchemaError,
     TooFewRecordsError,
 )
 from .features import FeatureMatrix
@@ -154,20 +155,24 @@ class EvalResult:
         with path.open("r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
-                result.records.append(EvalRecord(
-                    repeat=int(row["repeat"]),
-                    iteration=int(row["iteration"]),
-                    mae=float(row["mae"]),
-                    mre=float(row["mre"]),
-                    sa=float(row["sa"]),
-                    n_train=int(row["n_train"]),
-                    n_test=int(row["n_test"]),
-                    train_range=(0, int(row["n_train"])),
-                    test_range=(int(row["n_train"]),
-                                int(row["n_train"]) + int(row["n_test"])),
-                    failed=bool(int(row["failed"])),
-                    error=row["error"],
-                ))
+                try:
+                    result.records.append(EvalRecord(
+                        repeat=int(row["repeat"]),
+                        iteration=int(row["iteration"]),
+                        mae=float(row["mae"]),
+                        mre=float(row["mre"]),
+                        sa=float(row["sa"]),
+                        n_train=int(row["n_train"]),
+                        n_test=int(row["n_test"]),
+                        train_range=(0, int(row["n_train"])),
+                        test_range=(int(row["n_train"]),
+                                    int(row["n_train"]) + int(row["n_test"])),
+                        failed=bool(int(row["failed"])),
+                        error=row["error"],
+                    ))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise SchemaError(f"{path} line {reader.line_num}: "
+                                      f"{exc!r}") from exc
         return result
 
 

@@ -472,32 +472,36 @@ def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
 def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
     """Crawl all changes matching the config query into a JSONL dataset.
 
-    Appends incrementally and skips change numbers already present in the
-    output file, so an interrupted crawl can be resumed by re-running.  Each
-    listing page carries full change documents; the changes' file diffs may
-    be fetched concurrently (``jobs``), at most one listing page of them
-    ahead of the writer; writes are serialized.
+    Appends incrementally, so an interrupted crawl can be resumed by
+    re-running: an existing output file is read and validated with
+    :func:`dataset.read_dataset`, its change numbers are skipped, and its
+    manifest is carried on.  Each listing page carries full change
+    documents; the changes' file diffs may be fetched concurrently
+    (``jobs``, with as many pooled connections), at most one listing page of
+    them ahead of the writer; writes are serialized.
     Returns the final DatasetManifest.
     """
     from . import dataset as ds
 
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
-    seen = ds.existing_change_numbers(output_path)
-    segments_from_diff = config.fetch_file_diffs
-
-    manifest = ds.DatasetManifest(
-        project="",
-        crawl_query=config.query,
-        created_at=datetime.now(timezone.utc),
-        count=len(seen),
-        schema_version=ds.SCHEMA_VERSION,
-        complete=False,
-        segments_from_diff=segments_from_diff,
-    )
+    if output_path.exists():
+        records, manifest = ds.read_dataset(output_path)
+    else:
+        records, manifest = [], ds.DatasetManifest(
+            project="", crawl_query="", created_at=datetime.now(timezone.utc),
+            count=0)
+    seen = {record.number for record in records}
+    project = manifest.project or next((r.project for r in records), "")
+    del records  # only the numbers are needed while crawling
+    manifest = replace(manifest, crawl_query=config.query, count=len(seen),
+                       complete=False, segments_from_diff=config.fetch_file_diffs)
     ds.write_manifest(manifest, output_path)
 
     client = GerritClient(config)
+    # one pooled connection per worker; requests keeps 10 per host otherwise
+    client.session.mount(config.base_url,
+                         requests.adapters.HTTPAdapter(pool_maxsize=jobs))
 
     def fetch_and_normalize(doc: dict) -> ChangeRecord:
         return normalize_change(client.fetch_change_detail(doc), config)
@@ -514,11 +518,11 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
                 for record in (pool.map if pool else map)(fetch_and_normalize, unseen):
                     append(record)
                     seen.add(record.number)
-                    manifest = replace(manifest, count=len(seen),
-                                       project=record.project or manifest.project)
+                    project = project or record.project
         exhausted = True
     finally:
         client.close()
-        manifest = replace(manifest, count=len(seen), complete=exhausted)
+        manifest = replace(manifest, project=project, count=len(seen),
+                           complete=exhausted)
         ds.write_manifest(manifest, output_path)
     return manifest

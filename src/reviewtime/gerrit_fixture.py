@@ -293,7 +293,9 @@ class FixtureGerritServer:
             self._httpd.fail_next = count
 
     def __enter__(self) -> "FixtureGerritServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+        # shutdown() waits for serve_forever's next poll (0.5 s by default)
+        self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                        kwargs={"poll_interval": 0.05}, daemon=True)
         self._thread.start()
         return self
 

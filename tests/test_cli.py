@@ -54,6 +54,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="min_hour"):
             load_run_config(path)
 
+    def test_per_pipeline_repeats_is_an_unknown_key(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"evaluation": {"pipelines": [
+            {"algorithm": "LR", "repeats": 2}]}}), encoding="utf-8")
+        with pytest.raises(ConfigError,
+                           match="unknown key 'repeats' in evaluation.pipelines"):
+            load_run_config(path)
+
     def test_syntax_error_names_line(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{\n  "seed": 1,\n  broken\n}', encoding="utf-8")
@@ -111,7 +119,7 @@ class TestConfig:
          "evaluation.pipelines[0]"),
         ({"evaluation": {"repeats": 2.7}}, "evaluation"),
         ({"evaluation": {"repeats": True}}, "evaluation"),
-        ({"evaluation": {"pipelines": [{"algorithm": "LR", "repeats": 1.5}]}},
+        ({"evaluation": {"pipelines": [{"algorithm": "LR", "normalizer": "z"}]}},
          "evaluation.pipelines[0]"),
         ({"features": {"window_days": 0}}, "features"),
         ({"features": {"window_days": -5}}, "features"),
@@ -353,6 +361,49 @@ class TestCommands:
 
 
 class TestMalformedInput:
+    def test_crawl_resume_names_the_corrupt_line(self, crawled_dir, capsys):
+        tmp_path, config_path = crawled_dir
+        path = tmp_path / "out" / "changes.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = "{broken"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["crawl", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and "line 3" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("project"),
+        lambda doc: doc.update(owner="x"),
+        lambda doc: doc.update(count="25"),
+    ], ids=["missing-key", "unknown-key", "bad-value"])
+    def test_filter_rejects_a_malformed_manifest(self, tmp_path, capsys, edit):
+        path = tmp_path / "in.jsonl"
+        ds.write_dataset([make_record(1)], path, project="p")
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        edit(doc)
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        config_path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+        assert main(["filter", "--config", str(config_path), "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and str(manifest) in err
+
+    def test_compare_names_the_malformed_line(self, tmp_path, capsys):
+        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5, (0, 20), (20, 25))
+                   for i in range(5)]
+        for name in ("A", "B"):
+            EvalResult(name, records).to_csv(tmp_path / f"eval_{name}.csv")
+        path = tmp_path / "eval_B.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[3] = lines[3].replace("3.0", "x", 1)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config_path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+        assert main(["compare", "--config", str(config_path),
+                     str(tmp_path / "eval_A.csv"), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and f"{path} line 4" in err
+
     @pytest.mark.parametrize("field, value", [
         ("status", "BOGUS"),
         ("created_at", "2021-04-26 10:00"),

@@ -170,6 +170,24 @@ class TestPersistence:
         with pytest.raises(SchemaError, match="version"):
             ds.read_dataset(tmp_path / "d.jsonl")
 
+    @pytest.mark.parametrize("text", [
+        "{broken", "[]", '{"schema_version": "1"}',
+    ], ids=["bad-json", "not-an-object", "missing-keys"])
+    def test_malformed_manifest_names_the_file(self, tmp_path, text):
+        ds.write_dataset([make_record(1)], tmp_path / "d.jsonl")
+        (tmp_path / "manifest.json").write_text(text)
+        with pytest.raises(SchemaError, match="manifest.json"):
+            ds.read_dataset(tmp_path / "d.jsonl")
+
+    def test_manifest_without_segments_flag_loads(self, tmp_path):
+        written = ds.write_dataset([make_record(1)], tmp_path / "d.jsonl",
+                                   project="p", filter_policy=ds.FilterPolicy())
+        manifest_file = tmp_path / "manifest.json"
+        doc = json.loads(manifest_file.read_text())
+        del doc["segments_from_diff"]
+        manifest_file.write_text(json.dumps(doc))
+        assert ds.read_manifest(tmp_path / "d.jsonl") == written
+
     def test_statuses_roundtrip(self, tmp_path):
         records = [
             make_record(1, duration_hours=40.0, status=ChangeStatus.MERGED),

@@ -286,6 +286,14 @@ class TestCrawl:
         numbers = [r.number for r in records]
         assert len(numbers) == len(set(numbers)) == 25
 
+    def test_resume_with_nothing_new_keeps_the_manifest(self, fixture_server,
+                                                        tmp_path):
+        out = tmp_path / "changes.jsonl"
+        config = make_config(fixture_server.base_url, page_size=10)
+        first = crawl_project(config, out)
+        assert first.project == "fixture/project"
+        assert crawl_project(config, out) == first == ds.read_manifest(out)
+
     def test_interrupted_crawl_leaves_valid_partial(self, fixture_server, tmp_path):
         out = tmp_path / "changes.jsonl"
         config = make_config(fixture_server.base_url, page_size=10, max_retries=0)
@@ -368,6 +376,16 @@ class TestCrawl:
         assert manifest.count == 25
         records, _ = ds.read_dataset(tmp_path / "c.jsonl")
         assert len({r.number for r in records}) == 25
+
+    def test_parallel_crawl_keeps_one_connection_per_job(self, tmp_path):
+        from reviewtime.gerrit_fixture import FixtureGerritServer, generate_corpus
+
+        with FixtureGerritServer(generate_corpus(100, seed=1)) as server:
+            config = make_config(server.base_url, page_size=50,
+                                 fetch_file_diffs=True)
+            manifest = crawl_project(config, tmp_path / "c.jsonl", jobs=16)
+            assert manifest.count == 100
+            assert server.connection_count <= 16
 
     def test_parallel_crawl_writes_before_listing_ends(self, tmp_path, monkeypatch):
         from reviewtime.gerrit_fixture import FixtureGerritServer, generate_corpus
