@@ -2,8 +2,7 @@
 
 Unknown keys are rejected (naming the offending key); JSON syntax errors
 surface with their line number, and a malformed value with the section that
-holds it.  All randomness in a run derives from the single top-level seed
-unless a section overrides it.
+holds it.  All randomness in a run derives from the single top-level seed.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ class RunConfig:
 
 _TOP_KEYS = {"crawl", "filter", "keywords", "features", "evaluation", "out_dir", "seed"}
 _FEATURE_KEYS = {"window_days"}
-_EVAL_KEYS = {"repeats", "base_seed", "pipelines"}
+_EVAL_KEYS = {"repeats", "pipelines"}
 _PIPELINE_KEYS = {"algorithm", "normalizer", "selection", "hyperparameters", "grid"}
 
 
@@ -63,17 +62,10 @@ def _dataclass_section(doc: dict, key: str, cls: Callable[..., T]) -> T:
                     lambda section: cls(**section))
 
 
-def _count(value, name: str) -> int:
-    """``value`` if it is an integer of at least 1; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return value
-
-
-def _seed(value, name: str) -> int:
-    """``value`` if it is an integer of at least 0; a bool is not a seed."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+def _integer(value, name: str, least: int) -> int:
+    """``value`` if it is an integer of at least ``least``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return value
 
 
@@ -102,18 +94,17 @@ def _pipeline(entry: dict, repeats: int, base_seed: int) -> PipelineConfig:
 
 
 def _evaluation(section: dict, seed: int) -> tuple[PipelineConfig, ...]:
-    repeats = _count(section.get("repeats", DEFAULT_REPEATS), "repeats")
-    base_seed = _seed(section.get("base_seed", seed), "base_seed")
+    repeats = _integer(section.get("repeats", DEFAULT_REPEATS), "repeats", 1)
     return tuple(
         _section(entry, f"evaluation.pipelines[{i}]", _PIPELINE_KEYS,
-                 lambda e: _pipeline(e, repeats, base_seed))
+                 lambda e: _pipeline(e, repeats, seed))
         for i, entry in enumerate(section.get("pipelines", [])))
 
 
 def _run_config(doc: dict, seed_override: int | None,
                 out_override: str | None) -> RunConfig:
-    seed = _seed(doc.get("seed", 0) if seed_override is None else seed_override,
-                 "seed")
+    seed = _integer(doc.get("seed", 0) if seed_override is None else seed_override,
+                    "seed", 0)
     crawl = _dataclass_section(doc, "crawl", CrawlConfig) if "crawl" in doc else None
     return RunConfig(
         crawl=crawl,
@@ -122,8 +113,8 @@ def _run_config(doc: dict, seed_override: int | None,
         pipelines=_section(doc.get("evaluation", {}), "evaluation", _EVAL_KEYS,
                            lambda section: _evaluation(section, seed)),
         window_days=_section(doc.get("features", {}), "features", _FEATURE_KEYS,
-                             lambda section: _count(section.get("window_days", 365),
-                                                    "window_days")),
+                             lambda section: _integer(section.get("window_days", 365),
+                                                      "window_days", 1)),
         out_dir=Path(out_override or doc.get("out_dir", "runs/out")),
         seed=seed,
     )

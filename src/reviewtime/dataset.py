@@ -1,7 +1,8 @@
 """Dataset persistence, the completion-time target, and training-data filters.
 
 Records are stored as one JSON object per line (UTF-8) with a `manifest.json`
-document next to the data file.  Filtering drops incomplete, reopened,
+document next to the data file; the keys of each object are the fields of its
+dataclass.  Filtering drops incomplete, reopened,
 self-reviewed, too-short (<= min_hours) and too-long (> max_hours) reviews,
 attributing each dropped record to the first matching rule.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -23,8 +24,8 @@ from .gerrit import (
     ChangeStatus,
     FileDiff,
     ReviewMessage,
+    check_field_types,
     is_bot_account,
-    require_number,
 )
 
 SCHEMA_VERSION = "1"
@@ -39,14 +40,9 @@ class FilterPolicy:
     drop_self_reviewed: bool = True
 
     def __post_init__(self):
-        require_number(self.min_hours, "min_hours", float)
-        require_number(self.max_hours, "max_hours", float)
+        check_field_types(FilterPolicy, vars(self))
         if not (0 <= self.min_hours < self.max_hours):
             raise ValueError("require 0 <= min_hours < max_hours")
-        for name in ("drop_reopened", "drop_self_reviewed"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, "
-                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -76,11 +72,7 @@ class DatasetManifest:
     segments_from_diff: bool = False
 
     def __post_init__(self):
-        require_number(self.count, "count", int)
-        for name in ("complete", "segments_from_diff"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, "
-                                 f"got {getattr(self, name)!r}")
+        check_field_types(DatasetManifest, vars(self))
 
 
 def completion_time_hours(record: ChangeRecord) -> float:
@@ -165,97 +157,38 @@ def parse_timestamp(value: str | None) -> datetime | None:
     return datetime.fromisoformat(value[:-1]).replace(tzinfo=timezone.utc)
 
 
-def record_to_json(record: ChangeRecord) -> dict:
-    return {
-        "change_id": record.change_id,
-        "number": record.number,
-        "project": record.project,
-        "branch": record.branch,
-        "status": record.status.value,
-        "created_at": format_timestamp(record.created_at),
-        "closed_at": format_timestamp(record.closed_at),
-        "owner_id": record.owner_id,
-        "owner_name": record.owner_name,
-        "owner_tz_offset_minutes": record.owner_tz_offset_minutes,
-        "subject": record.subject,
-        "message_body": record.message_body,
-        "files": [
-            {
-                "path": f.path,
-                "lines_inserted": f.lines_inserted,
-                "lines_deleted": f.lines_deleted,
-                "segments": list(f.segments) if f.segments is not None else None,
-            }
-            for f in record.files
-        ],
-        "messages": [
-            {
-                "author_id": m.author_id,
-                "author_name": m.author_name,
-                "posted_at": format_timestamp(m.posted_at),
-                "text": m.text,
-                "revision_number": m.revision_number,
-                "from_bot": m.from_bot,
-            }
-            for m in record.messages
-        ],
-        "reopened": record.reopened,
-        "insertions_total": record.insertions_total,
-        "deletions_total": record.deletions_total,
-        "tz_offset_missing": record.tz_offset_missing,
-    }
+def _to_json(value):
+    """``json.dumps`` hook: a timestamp in the files' one shape, a dataclass as
+    its fields."""
+    if isinstance(value, datetime):
+        return format_timestamp(value)
+    return {f.name: getattr(value, f.name) for f in fields(value)}
 
 
-def record_from_json(doc: dict) -> ChangeRecord:
-    try:
-        for name in ("number", "owner_id", "owner_tz_offset_minutes",
-                     "insertions_total", "deletions_total"):
-            require_number(doc[name], name, int)
-        for f in doc["files"]:
-            require_number(f["lines_inserted"], "lines_inserted", int)
-            require_number(f["lines_deleted"], "lines_deleted", int)
-        for m in doc["messages"]:
-            require_number(m["author_id"], "author_id", int)
-        return ChangeRecord(
-            change_id=doc["change_id"],
-            number=doc["number"],
-            project=doc["project"],
-            branch=doc["branch"],
-            status=ChangeStatus(doc["status"]),
-            created_at=parse_timestamp(doc["created_at"]),
-            closed_at=parse_timestamp(doc["closed_at"]),
-            owner_id=doc["owner_id"],
-            owner_name=doc["owner_name"],
-            owner_tz_offset_minutes=doc["owner_tz_offset_minutes"],
-            subject=doc["subject"],
-            message_body=doc["message_body"],
-            files=tuple(
-                FileDiff(
-                    path=f["path"],
-                    lines_inserted=f["lines_inserted"],
-                    lines_deleted=f["lines_deleted"],
-                    segments=tuple(f["segments"]) if f.get("segments") is not None else None,
-                )
-                for f in doc["files"]
-            ),
-            messages=tuple(
-                ReviewMessage(
-                    author_id=m["author_id"],
-                    author_name=m["author_name"],
-                    posted_at=parse_timestamp(m["posted_at"]),
-                    text=m["text"],
-                    revision_number=m["revision_number"],
-                    from_bot=m["from_bot"],
-                )
-                for m in doc["messages"]
-            ),
-            reopened=doc["reopened"],
-            insertions_total=doc["insertions_total"],
-            deletions_total=doc["deletions_total"],
-            tz_offset_missing=doc.get("tz_offset_missing", False),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"record missing key {exc.args[0]!r}") from exc
+def _from_json(cls, doc: dict):
+    """``cls(**doc)`` once ``doc`` passes :func:`check_field_types`, with the
+    values that JSON cannot hold decoded first."""
+    check_field_types(cls, doc)
+    return cls(**doc | {name: decode(doc[name])
+                        for name, decode in _DECODERS.get(cls, {}).items() if name in doc})
+
+
+# per dataclass, how its fields that JSON cannot hold are read back
+_DECODERS = {
+    ChangeRecord: {
+        "status": ChangeStatus,
+        "created_at": parse_timestamp,
+        "closed_at": parse_timestamp,
+        "files": lambda docs: tuple(_from_json(FileDiff, d) for d in docs),
+        "messages": lambda docs: tuple(_from_json(ReviewMessage, d) for d in docs),
+    },
+    FileDiff: {"segments": lambda value: None if value is None else tuple(value)},
+    ReviewMessage: {"posted_at": parse_timestamp},
+    DatasetManifest: {
+        "created_at": parse_timestamp,
+        "filter_policy": lambda doc: None if doc is None else _from_json(FilterPolicy, doc),
+    },
+}
 
 
 def manifest_path(data_path: Path) -> Path:
@@ -263,9 +196,9 @@ def manifest_path(data_path: Path) -> Path:
 
 
 def write_manifest(manifest: DatasetManifest, data_path: str | Path) -> None:
-    doc = {**asdict(manifest), "created_at": format_timestamp(manifest.created_at)}
     path = manifest_path(Path(data_path))
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2, default=_to_json)
+                    + "\n", encoding="utf-8")
 
 
 def read_manifest(data_path: str | Path) -> DatasetManifest:
@@ -276,11 +209,8 @@ def read_manifest(data_path: str | Path) -> DatasetManifest:
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise SchemaError(f"{path}: unsupported dataset schema version "
                               f"{doc.get('schema_version')!r}")
-        policy = doc.get("filter_policy")
-        return DatasetManifest(**{
-            **doc, "created_at": parse_timestamp(doc["created_at"]),
-            "filter_policy": FilterPolicy(**policy) if policy else None})
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        return _from_json(DatasetManifest, doc)
+    except (TypeError, ValueError, AttributeError) as exc:
         raise SchemaError(f"malformed manifest {path}: {exc!r}") from exc
 
 
@@ -290,7 +220,7 @@ def dataset_appender(path: str | Path):
     path = Path(path)
     with path.open("a", encoding="utf-8") as fh:
         def append(record: ChangeRecord) -> None:
-            fh.write(json.dumps(record_to_json(record), sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True, default=_to_json) + "\n")
             fh.flush()
         yield append
 
@@ -305,7 +235,7 @@ def write_dataset(records: Iterable[ChangeRecord], path: str | Path, *,
     first_project = project
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record_to_json(record), sort_keys=True) + "\n")
+            fh.write(json.dumps(record, sort_keys=True, default=_to_json) + "\n")
             count += 1
             if not first_project:
                 first_project = record.project
@@ -335,7 +265,7 @@ def read_dataset(path: str | Path) -> tuple[list[ChangeRecord], DatasetManifest]
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"corrupted dataset line {lineno}: {exc}") from exc
             try:
-                records.append(record_from_json(doc))
+                records.append(_from_json(ChangeRecord, doc))
             except (SchemaError, ValueError, TypeError, AttributeError) as exc:
                 raise SchemaError(f"malformed record on dataset line {lineno}: "
                                   f"{exc}") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -19,9 +19,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import collab
-from .dataset import completion_time_hours, parse_timestamp, sort_by_creation
+from .dataset import (completion_time_hours, format_timestamp, parse_timestamp,
+                      sort_by_creation)
 from .errors import EmptyInputError, SchemaError
-from .gerrit import ChangeRecord, ChangeStatus
+from .gerrit import ChangeRecord, ChangeStatus, check_field_types
 
 DIMENSIONS = ("date", "collaboration", "code", "text", "owner", "file_history")
 
@@ -121,12 +122,9 @@ class KeywordPolicy:
     non_functional_keywords: tuple[str, ...] = DEFAULT_NON_FUNCTIONAL_KEYWORDS
 
     def __post_init__(self):
-        for name in ("refactoring_keywords", "perfective_keywords",
-                     "non_functional_keywords"):
-            terms = getattr(self, name)
-            if isinstance(terms, str) or not all(isinstance(t, str) for t in terms):
-                raise ValueError(f"{name} must be a list of strings, got {terms!r}")
-            terms = tuple(terms)
+        check_field_types(KeywordPolicy, vars(self))
+        for name in (f.name for f in fields(self)):
+            terms = tuple(getattr(self, name))
             if not terms:
                 raise ValueError(f"{name} must be non-empty")
             if any(t != t.lower() for t in terms):
@@ -187,8 +185,8 @@ class FeatureMatrix:
             writer.writerow(["change_number", "created_at", "target_hours",
                              *self.feature_names])
             for i in range(len(self)):
-                created = self.created_at[i].strftime("%Y-%m-%dT%H:%M:%S.%fZ")
-                writer.writerow([int(self.change_numbers[i]), created,
+                writer.writerow([int(self.change_numbers[i]),
+                                 format_timestamp(self.created_at[i]),
                                  repr(float(self.y[i])),
                                  *[repr(float(v)) for v in self.X[i]]])
 

@@ -20,9 +20,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from types import UnionType
+from typing import (Any, Callable, Iterator, Mapping, Sequence, get_args,
+                    get_origin, get_type_hints)
 
 import requests
 
@@ -54,15 +56,60 @@ class ChangeStatus(str, Enum):
     NEW = "NEW"
 
 
-def require_number(value, name: str, kind: type) -> None:
-    """Reject a config value that is not of ``kind`` (int or float).
+# the test a value of each scalar field type passes (a bool is never a
+# number), and what one and many such values are called
+_SCALARS = {
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool),
+          "an integer", "integers"),
+    float: (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+            "a number", "numbers"),
+    str: (lambda v: isinstance(v, str), "a string", "strings"),
+    bool: (lambda v: isinstance(v, bool), "true or false", "booleans"),
+}
 
-    An int also counts as a float; a bool counts as neither.
+
+@cache
+def _field_tests(cls: type) -> dict[str, tuple[Callable[[Any], bool], str]]:
+    """For each field of ``cls`` typed a scalar or a tuple of one, either
+    perhaps ``| None``: the test its values pass, and what they must be."""
+    tests = {}
+    for name, hint in get_type_hints(cls).items():
+        args = get_args(hint)
+        nullable = isinstance(hint, UnionType) and len(args) == 2 and type(None) in args
+        if nullable:
+            hint = args[0] if args[1] is type(None) else args[1]
+            args = get_args(hint)
+        if get_origin(hint) is tuple and args[0] in _SCALARS \
+                and set(args) <= {args[0], ...}:
+            item, _, many = _SCALARS[args[0]]
+            size = 0 if args[-1] is ... else len(args)  # 0: any length
+
+            def test(v, item=item, size=size):
+                return (isinstance(v, (list, tuple)) and size in (0, len(v))
+                        and all(map(item, v)))
+            what = f"a list of {size} {many}" if size else f"a list of {many}"
+        elif hint in _SCALARS:
+            test, what, _ = _SCALARS[hint]
+        else:
+            continue
+        if nullable:
+            test, what = (lambda v, test=test: v is None or test(v)), f"{what} or null"
+        tests[name] = test, what
+    return tests
+
+
+def check_field_types(cls: type, values: Mapping[str, Any]) -> None:
+    """Reject a value in ``values`` that its annotated field of ``cls`` does not take.
+
+    An ``int`` field takes an int, never a bool; a ``float`` field an int
+    or a float; ``str`` and ``bool`` fields exactly that type; ``X | None``
+    also null; and a tuple field of scalars a list or tuple of them, of the
+    annotation's length when it fixes one.  Other field types are left to
+    their constructors, and absent names to the dataclass.
     """
-    allowed = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        what = "an integer" if kind is int else "a number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+    for name, (test, what) in _field_tests(cls).items():
+        if name in values and not test(values[name]):
+            raise ValueError(f"{name} must be {what}, got {values[name]!r}")
 
 
 @dataclass(frozen=True)
@@ -78,12 +125,7 @@ class CrawlConfig:
     fetch_file_diffs: bool = True
 
     def __post_init__(self):
-        require_number(self.page_size, "page_size", int)
-        require_number(self.max_retries, "max_retries", int)
-        if self.max_changes is not None:
-            require_number(self.max_changes, "max_changes", int)
-        require_number(self.request_timeout, "request_timeout", float)
-        require_number(self.min_request_interval_ms, "min_request_interval_ms", float)
+        check_field_types(CrawlConfig, vars(self))
         if self.page_size < 1:
             raise ValueError("page_size must be >= 1")
         if self.request_timeout <= 0:
@@ -96,13 +138,6 @@ class CrawlConfig:
             raise ValueError("base_url must be an absolute http(s) URL")
         if self.max_changes is not None and self.max_changes < 1:
             raise ValueError("max_changes must be >= 1 when set")
-        if isinstance(self.bot_accounts, str) \
-                or not all(isinstance(a, str) for a in self.bot_accounts):
-            raise ValueError(f"bot_accounts must be a list of strings, "
-                             f"got {self.bot_accounts!r}")
-        if not isinstance(self.fetch_file_diffs, bool):
-            raise ValueError(f"fetch_file_diffs must be true or false, "
-                             f"got {self.fetch_file_diffs!r}")
         object.__setattr__(self, "bot_accounts", tuple(self.bot_accounts))
 
 
@@ -494,8 +529,11 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
     seen = {record.number for record in records}
     project = manifest.project or next((r.project for r in records), "")
     del records  # only the numbers are needed while crawling
+    # records already crawled without diffs keep a resumed dataset from
+    # claiming segments from diffs
     manifest = replace(manifest, crawl_query=config.query, count=len(seen),
-                       complete=False, segments_from_diff=config.fetch_file_diffs)
+                       complete=False, segments_from_diff=config.fetch_file_diffs
+                       and (manifest.segments_from_diff or not seen))
     ds.write_manifest(manifest, output_path)
 
     client = GerritClient(config)

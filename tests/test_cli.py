@@ -62,6 +62,12 @@ class TestConfig:
                            match="unknown key 'repeats' in evaluation.pipelines"):
             load_run_config(path)
 
+    def test_base_seed_is_an_unknown_key(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"evaluation": {"base_seed": 11}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown key 'base_seed' in evaluation"):
+            load_run_config(path)
+
     def test_syntax_error_names_line(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{\n  "seed": 1,\n  broken\n}', encoding="utf-8")
@@ -137,8 +143,8 @@ class TestConfig:
         ({"seed": 2.5}, "top level"),
         ({"seed": True}, "top level"),
         ({"seed": -1}, "top level"),
-        ({"evaluation": {"base_seed": 1.5}}, "evaluation"),
-        ({"evaluation": {"base_seed": -3}}, "evaluation"),
+        ({"evaluation": {"repeats": 0}}, "evaluation"),
+        ({"evaluation": {"pipelines": 5}}, "evaluation"),
         ({"filter": {"drop_reopened": "no"}}, "filter"),
         ({"filter": {"drop_self_reviewed": 0}}, "filter"),
         ({"crawl": {"base_url": "http://x.invalid", "fetch_file_diffs": "no"}},
@@ -158,6 +164,7 @@ class TestConfig:
          "crawl"),
         ({"filter": {"min_hours": True}}, "filter"),
         ({"filter": {"min_hours": 0, "max_hours": True}}, "filter"),
+        ({"crawl": {"base_url": "http://x.invalid", "query": 5}}, "crawl"),
     ])
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, doc, where):
         path = tmp_path / "c.json"
@@ -410,6 +417,7 @@ class TestMalformedInput:
         ("created_at", "2021-4-26T10:0:0.1Z"),
         ("files", 3),
         ("owner_id", "100"),
+        ("reviewers", [101]),
     ])
     def test_filter_names_the_malformed_line(self, tmp_path, capsys, field, value):
         path = tmp_path / "in.jsonl"
@@ -422,6 +430,18 @@ class TestMalformedInput:
         assert main(["filter", "--config", str(config_path), "--in", str(path)]) == 1
         err = capsys.readouterr().err
         assert "SchemaError" in err and "line 2" in err
+
+    def test_featurize_names_the_malformed_segments(self, tmp_path, capsys):
+        path = tmp_path / "in.jsonl"
+        ds.write_dataset([make_record(1), make_record(2)], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        doc = json.loads(lines[1])
+        doc["files"][0]["segments"] = [1, "x", 0]
+        path.write_text(lines[0] + "\n" + json.dumps(doc) + "\n", encoding="utf-8")
+        config_path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+        assert main(["featurize", "--config", str(config_path), "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and "line 2: segments" in err
 
     @pytest.mark.parametrize("last_cells", [[], ["abc"]],
                              ids=["short-row", "non-numeric-cell"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from reviewtime import dataset as ds
 from reviewtime.errors import NotCompletedError, SchemaError
-from reviewtime.gerrit import ChangeStatus, FileDiff
+from reviewtime.gerrit import ChangeRecord, ChangeStatus, FileDiff, ReviewMessage
 
 from conftest import BASE_TIME, make_message, make_record
 
@@ -256,6 +257,73 @@ class TestRecordTypes:
             path, lambda d: d["messages"][0].update(posted_at="2021-4-26T11:0:0.1Z"))
         with pytest.raises(SchemaError, match="line 2: timestamp"):
             ds.read_dataset(path)
+
+
+@pytest.mark.parametrize("part, field, value", [
+    (None, "reopened", "no"),
+    ("messages", "from_bot", "false"),
+    (None, "owner_name", 7),
+    ("messages", "text", None),
+    ("messages", "revision_number", "1"),
+    ("files", "segments", [1, "x", 0]),
+    ("files", "segments", [1, 2]),
+])
+def test_every_record_field_is_type_checked(tmp_path, part, field, value):
+    path = tmp_path / "d.jsonl"
+    ds.write_dataset([make_record(1), make_record(2)], path)
+    rewrite_second_record(
+        path, lambda doc: (doc[part][0] if part else doc).update({field: value}))
+    with pytest.raises(SchemaError, match=f"line 2: {field} must be"):
+        ds.read_dataset(path)
+
+
+LAYOUT_DIR = Path(__file__).parent / "data" / "dataset"
+LAYOUT_POLICY = ds.FilterPolicy(min_hours=12.5, drop_reopened=False)
+
+
+def layout_record() -> ChangeRecord:
+    """A record that sets every field, as the files in ``data/dataset`` hold it."""
+    created = BASE_TIME + timedelta(microseconds=123_456)
+    return ChangeRecord(
+        change_id="I0123456789abcdef", number=4242, project="platform/core",
+        branch="stable/2.1", status=ChangeStatus.MERGED, created_at=created,
+        closed_at=created + timedelta(hours=49, microseconds=7),
+        owner_id=100, owner_name="Zoë Owner", owner_tz_offset_minutes=0,
+        subject="Fix crash in parser ✓",
+        message_body='Fix crash\n\nDetails "quoted".',
+        files=(FileDiff("core/parser.c", 12, 3, segments=(2, 1, 1)),
+               FileDiff("docs/README", 1, 0)),
+        messages=(ReviewMessage(101, "Rev Iewer", created + timedelta(hours=3),
+                                "Patch Set 1: Code-Review+2", revision_number=1),
+                  ReviewMessage(900, "Jenkins CI", created + timedelta(hours=4),
+                                "Build Successful", from_bot=True)),
+        reopened=True, insertions_total=13, deletions_total=3,
+        tz_offset_missing=True)
+
+
+class TestFileLayout:
+    """The bytes of a dataset line and its manifest, pinned by committed files."""
+
+    def test_write_reproduces_the_pinned_bytes(self, tmp_path):
+        ds.write_dataset([layout_record()], tmp_path / "changes.jsonl",
+                         project="platform/core", query="status:merged",
+                         filter_policy=LAYOUT_POLICY, segments_from_diff=True)
+        assert (tmp_path / "changes.jsonl").read_bytes() \
+            == (LAYOUT_DIR / "changes.jsonl").read_bytes()
+
+        def without_created_at(path):
+            return [line for line in path.read_bytes().splitlines(keepends=True)
+                    if not line.startswith(b'  "created_at": ')]
+        assert without_created_at(tmp_path / "manifest.json") \
+            == without_created_at(LAYOUT_DIR / "manifest.json")
+
+    def test_read_gives_the_record_back(self):
+        records, manifest = ds.read_dataset(LAYOUT_DIR / "changes.jsonl")
+        assert records == [layout_record()]
+        assert manifest == ds.DatasetManifest(
+            project="platform/core", crawl_query="status:merged",
+            created_at=manifest.created_at, count=1, filter_policy=LAYOUT_POLICY,
+            segments_from_diff=True)
 
 
 class TestSort:

@@ -294,6 +294,19 @@ class TestCrawl:
         assert first.project == "fixture/project"
         assert crawl_project(config, out) == first == ds.read_manifest(out)
 
+    def test_resume_with_diffs_keeps_a_diffless_start_unclaimed(self, fixture_server,
+                                                                tmp_path):
+        out = tmp_path / "changes.jsonl"
+        fresh = make_config(fixture_server.base_url, page_size=10, max_changes=7,
+                            fetch_file_diffs=True)
+        assert crawl_project(fresh, tmp_path / "fresh" / "changes.jsonl") \
+            .segments_from_diff is True
+        crawl_project(replace(fresh, fetch_file_diffs=False), out)
+        resumed = crawl_project(replace(fresh, max_changes=20), out)
+        assert resumed.count == 20
+        assert resumed.segments_from_diff is False
+        assert ds.read_manifest(out).segments_from_diff is False
+
     def test_interrupted_crawl_leaves_valid_partial(self, fixture_server, tmp_path):
         out = tmp_path / "changes.jsonl"
         config = make_config(fixture_server.base_url, page_size=10, max_retries=0)
