@@ -9,18 +9,17 @@ readable outputs carry no timestamps (run metadata goes to a side file under
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import astuple
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import dataset as ds
 from . import gerrit
 from .config import RunConfig, load_run_config
-from .errors import ConfigError, ReviewTimeError
+from .errors import ConfigError, ReviewTimeError, SchemaError
 from .evaluation import EvalResult, PipelineConfig, run_online_validation
 from .features import DIMENSIONS, FeatureMatrix, featurize
 from .importance import dimension_ablation, loco_all
@@ -35,14 +34,12 @@ def _write_meta(out_dir: Path, command: str, started: float, duration: float,
                 extra: dict | None) -> None:
     meta_dir = out_dir / "meta"
     meta_dir.mkdir(exist_ok=True)
-    doc = {
+    ds.write_json(meta_dir / f"{command}.json", {
         "command": command,
         "started_at": datetime.fromtimestamp(started, timezone.utc).isoformat(),
         "duration_seconds": round(duration, 3),
         **(extra or {}),
-    }
-    (meta_dir / f"{command}.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    })
 
 
 def _pipelines(config: RunConfig) -> tuple[PipelineConfig, ...]:
@@ -73,9 +70,7 @@ def cmd_filter(config: RunConfig, args) -> None:
     ds.write_dataset(kept, out / "filtered.jsonl", project=manifest.project,
                      query=manifest.crawl_query, filter_policy=config.filter_policy,
                      segments_from_diff=manifest.segments_from_diff)
-    report_doc = asdict(report)
-    (out / "filter_report.json").write_text(
-        json.dumps(report_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    ds.write_json(out / "filter_report.json", report)
     print(f"kept {report.kept} of {report.total} records "
           f"(incomplete {report.dropped_incomplete}, reopened {report.dropped_reopened}, "
           f"self {report.dropped_self}, short {report.dropped_short}, "
@@ -114,8 +109,7 @@ def cmd_evaluate(config: RunConfig, args) -> None:
               f"sa mean {_fmt(summary['sa']['mean'], '.2f')}")
         if result.records and result.failures == len(result.records):
             all_failed.append(f"{name} ({result.records[0].error})")
-    (out / "eval_summary.json").write_text(
-        json.dumps(summaries, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    ds.write_json(out / "eval_summary.json", summaries)
     if all_failed:
         raise ReviewTimeError("every iteration failed for "
                               + "; ".join(all_failed))
@@ -132,13 +126,16 @@ def cmd_compare(config: RunConfig, args) -> None:
         raise ReviewTimeError("compare needs at least two result files")
     # pair the samples by (repeat, iteration), on the keys every file scored
     keys = sorted(set.intersection(*(set(maes) for maes in keyed.values())))
+    if not keys:
+        raise ReviewTimeError("no (repeat, iteration) is scored in every result file")
     dropped = sorted(set().union(*keyed.values()) - set(keys))
     if dropped:
         print(f"dropped (repeat, iteration) keys not scored in every file: "
               f"{dropped}")
     samples = {name: [maes[k] for k in keys] for name, maes in keyed.items()}
     comparisons = compare_pairwise(samples)
-    _write_comparisons(out / "comparisons.csv", comparisons)
+    ds.write_table(out / "comparisons.csv", _COMPARISON_HEADER,
+                   map(astuple, comparisons))
     lines = ["| pair | W | p | p(adj) | significant | delta | magnitude |",
              "|---|---|---|---|---|---|---|"]
     for c in comparisons:
@@ -150,15 +147,9 @@ def cmd_compare(config: RunConfig, args) -> None:
     print("\n".join(lines))
 
 
-def _write_comparisons(path: Path, comparisons) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["left", "right", "w", "p_value", "p_adjusted",
-                         "significant", "cliffs_d", "magnitude"])
-        for c in comparisons:
-            writer.writerow([c.left, c.right, repr(c.w_statistic), repr(c.p_value),
-                             repr(c.p_adjusted), int(c.significant),
-                             repr(c.cliffs_d), c.magnitude])
+# the columns of a comparisons CSV, in the order of stats.ComparisonResult's fields
+_COMPARISON_HEADER = ("left", "right", "w", "p_value", "p_adjusted", "significant",
+                      "cliffs_d", "magnitude")
 
 
 def cmd_ablate(config: RunConfig, args) -> None:
@@ -167,7 +158,8 @@ def cmd_ablate(config: RunConfig, args) -> None:
     ablation = dimension_ablation(data, _pipelines(config)[0])
     for mode, result in ablation.results.items():
         result.to_csv(out / f"ablation_{mode}.csv")
-    _write_comparisons(out / "ablation_comparisons.csv", ablation.comparisons)
+    ds.write_table(out / "ablation_comparisons.csv", _COMPARISON_HEADER,
+                   map(astuple, ablation.comparisons))
     for mode in ("all", *DIMENSIONS):
         summary = ablation.results[mode].summary()
         print(f"{mode}: mae mean {summary['mae']['mean']:.3f}")
@@ -179,9 +171,7 @@ def cmd_rank(config: RunConfig, args) -> None:
     units = list(DIMENSIONS) if args.by == "dimension" else None
     importance = loco_all(data, _pipelines(config)[0], units=units)
     importance.to_csv(out / f"loco_{args.by}.csv")
-    clusters_doc = [list(cluster) for cluster in importance.ranking.clusters]
-    (out / f"loco_{args.by}_clusters.json").write_text(
-        json.dumps(clusters_doc, indent=2) + "\n", encoding="utf-8")
+    ds.write_json(out / f"loco_{args.by}_clusters.json", importance.ranking.clusters)
     for rank, cluster in enumerate(importance.ranking.clusters, start=1):
         print(f"rank {rank}: {', '.join(cluster)}")
 
@@ -199,15 +189,17 @@ def cmd_report(config: RunConfig, args) -> dict:
     summary_path = run_dir / "eval_summary.json"
     if summary_path.exists():
         lines += ["", "## Model summaries", ""]
-        summaries = json.loads(summary_path.read_text(encoding="utf-8"))
         lines.append("| algorithm | MAE mean | MAE median | MRE mean | SA mean |")
         lines.append("|---|---|---|---|---|")
-        for name in sorted(summaries):
-            s = summaries[name]
-            lines.append(
-                f"| {name} | {_fmt(s['mae']['mean'], '.3f')} "
-                f"| {_fmt(s['mae']['median'], '.3f')} "
-                f"| {_fmt(s['mre']['mean'], '.3f')} | {_fmt(s['sa']['mean'], '.2f')} |")
+        try:
+            summaries = json.loads(summary_path.read_text(encoding="utf-8"))
+            lines += [f"| {name} | {_fmt(s['mae']['mean'], '.3f')} "
+                      f"| {_fmt(s['mae']['median'], '.3f')} "
+                      f"| {_fmt(s['mre']['mean'], '.3f')} "
+                      f"| {_fmt(s['sa']['mean'], '.2f')} |"
+                      for name, s in sorted(summaries.items())]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed {summary_path}: {exc!r}") from exc
     (run_dir / "report.md").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"report covering {len(artifacts)} artifacts -> {run_dir / 'report.md'}")
     return {"artifacts": len(artifacts)}

@@ -1,4 +1,4 @@
-"""Dataset persistence, the completion-time target, and training-data filters.
+"""Dataset and result-file persistence, the completion-time target, and filters.
 
 Records are stored as one JSON object per line (UTF-8) with a `manifest.json`
 document next to the data file; the keys of each object are the fields of its
@@ -9,13 +9,15 @@ attributing each dropped record to the first matching rule.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import NotCompletedError, SchemaError
 from .gerrit import (
@@ -165,6 +167,65 @@ def _to_json(value):
     return {f.name: getattr(value, f.name) for f in fields(value)}
 
 
+def write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` in the one JSON layout: sorted keys, indent 2, a final newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, default=_to_json)
+                          + "\n", encoding="utf-8")
+
+
+def _cell(value):
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):  # np.float64 too, whose repr is "np.float64(x)"
+        return repr(float(value))
+    if isinstance(value, datetime):
+        return format_timestamp(value)
+    return value
+
+
+def write_table(path: str | Path, header: Sequence[str],
+                rows: Iterable[Sequence]) -> None:
+    """Write a CSV result table: a float as ``repr(float(v))``, which reads back
+    exactly, a bool as 0 or 1, a timestamp by :func:`format_timestamp`, the rest
+    as it is."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def read_table(path: str | Path, header: Sequence[str],
+               parse: Callable[[list[str]], object]) -> tuple[list[str], list]:
+    """The header and the rows, each through ``parse``, of a table :func:`write_table`
+    wrote.  Bytes that are not UTF-8, a header other than ``header`` (whose last
+    column may be ``"..."``, for any further columns), a row of a width other than
+    the header's, and a row ``parse`` rejects (ValueError, TypeError or KeyError)
+    are each a SchemaError naming the file and the line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path} line {lineno}: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    found = next(reader, [])
+    expected = list(header)
+    if expected[-1] == "...":
+        expected[-1:] = found[len(expected) - 1:]
+    if found != expected:
+        raise SchemaError(f"{path} line 1: expected the header {','.join(header)}, "
+                          f"got {','.join(found)}")
+    rows = []
+    for row in reader:
+        try:
+            if len(row) != len(found):
+                raise ValueError(f"expected {len(found)} cells, got {len(row)}")
+            rows.append(parse(row))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise SchemaError(f"{path} line {reader.line_num}: {exc}") from exc
+    return found, rows
+
+
 def _from_json(cls, doc: dict):
     """``cls(**doc)`` once ``doc`` passes :func:`check_field_types`, with the
     values that JSON cannot hold decoded first."""
@@ -196,9 +257,7 @@ def manifest_path(data_path: Path) -> Path:
 
 
 def write_manifest(manifest: DatasetManifest, data_path: str | Path) -> None:
-    path = manifest_path(Path(data_path))
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2, default=_to_json)
-                    + "\n", encoding="utf-8")
+    write_json(manifest_path(Path(data_path)), manifest)
 
 
 def read_manifest(data_path: str | Path) -> DatasetManifest:
@@ -255,19 +314,14 @@ def write_dataset(records: Iterable[ChangeRecord], path: str | Path, *,
 def read_dataset(path: str | Path) -> tuple[list[ChangeRecord], DatasetManifest]:
     path = Path(path)
     records: list[ChangeRecord] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+            # bytes that are not UTF-8 and text that is not JSON are ValueErrors
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"corrupted dataset line {lineno}: {exc}") from exc
-            try:
-                records.append(_from_json(ChangeRecord, doc))
+                line = line.decode("utf-8").strip()
+                if line:
+                    records.append(_from_json(ChangeRecord, json.loads(line)))
             except (SchemaError, ValueError, TypeError, AttributeError) as exc:
-                raise SchemaError(f"malformed record on dataset line {lineno}: "
-                                  f"{exc}") from exc
+                raise SchemaError(f"{path} line {lineno}: {exc}") from exc
     manifest = read_manifest(path)
     return records, manifest

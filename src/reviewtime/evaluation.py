@@ -8,19 +8,18 @@ and their record is replicated across repeats.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .dataset import read_table, write_table
 from .errors import (
     EmptyInputError,
     LengthMismatchError,
     NonFinitePredictionError,
     NonPositiveActualError,
-    SchemaError,
     TooFewRecordsError,
 )
 from .features import FeatureMatrix
@@ -135,45 +134,25 @@ class EvalResult:
         return out
 
     def to_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["repeat", "iteration", "mae", "mre", "sa",
-                             "n_train", "n_test", "failed", "error"])
-            for r in self.records:
-                writer.writerow([
-                    r.repeat, r.iteration,
-                    repr(r.mae), repr(r.mre), repr(r.sa),
-                    r.n_train, r.n_test, int(r.failed), r.error,
-                ])
+        write_table(path, _CSV_HEADER, (
+            (r.repeat, r.iteration, r.mae, r.mre, r.sa, r.n_train, r.n_test,
+             r.failed, r.error) for r in self.records))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "EvalResult":
-        path = Path(path)
-        result = cls(algorithm=path.stem)
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                try:
-                    result.records.append(EvalRecord(
-                        repeat=int(row["repeat"]),
-                        iteration=int(row["iteration"]),
-                        mae=float(row["mae"]),
-                        mre=float(row["mre"]),
-                        sa=float(row["sa"]),
-                        n_train=int(row["n_train"]),
-                        n_test=int(row["n_test"]),
-                        train_range=(0, int(row["n_train"])),
-                        test_range=(int(row["n_train"]),
-                                    int(row["n_train"]) + int(row["n_test"])),
-                        failed=bool(int(row["failed"])),
-                        error=row["error"],
-                    ))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise SchemaError(f"{path} line {reader.line_num}: "
-                                      f"{exc!r}") from exc
-        return result
+        _, records = read_table(path, _CSV_HEADER, _parse_record)
+        return cls(algorithm=Path(path).stem, records=records)
+
+
+_CSV_HEADER = ("repeat", "iteration", "mae", "mre", "sa", "n_train", "n_test",
+               "failed", "error")
+
+
+def _parse_record(row: list[str]) -> EvalRecord:
+    n_train, n_test = int(row[5]), int(row[6])
+    return EvalRecord(int(row[0]), int(row[1]), float(row[2]), float(row[3]),
+                      float(row[4]), n_train, n_test, (0, n_train),
+                      (n_train, n_train + n_test), bool(int(row[7])), row[8])
 
 
 def mae(pred: Sequence[float], actual: Sequence[float]) -> float:

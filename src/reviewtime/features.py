@@ -8,7 +8,6 @@ graph snapshot taken at the change's creation time.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
@@ -19,8 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import collab
-from .dataset import (completion_time_hours, format_timestamp, parse_timestamp,
-                      sort_by_creation)
+from .dataset import (completion_time_hours, parse_timestamp, read_table,
+                      sort_by_creation, write_table)
 from .errors import EmptyInputError, SchemaError
 from .gerrit import ChangeRecord, ChangeStatus, check_field_types
 
@@ -178,42 +177,23 @@ class FeatureMatrix:
                              self.change_numbers, self.created_at)
 
     def to_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["change_number", "created_at", "target_hours",
-                             *self.feature_names])
-            for i in range(len(self)):
-                writer.writerow([int(self.change_numbers[i]),
-                                 format_timestamp(self.created_at[i]),
-                                 repr(float(self.y[i])),
-                                 *[repr(float(v)) for v in self.X[i]]])
+        write_table(path, (*_CSV_HEAD, *self.feature_names),
+                    ((number, created, y, *x) for number, created, y, x in zip(
+                        self.change_numbers.tolist(), self.created_at,
+                        self.y.tolist(), self.X.tolist())))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureMatrix":
-        path = Path(path)
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if header[:3] != ["change_number", "created_at", "target_hours"]:
-                raise SchemaError(f"unexpected feature CSV header in {path}")
-            names = tuple(header[3:])
-            numbers, created, ys, rows = [], [], [], []
-            for row in reader:
-                if len(row) != len(header):
-                    raise SchemaError(f"{path} line {reader.line_num}: expected "
-                                      f"{len(header)} cells, got {len(row)}")
-                try:
-                    numbers.append(int(row[0]))
-                    created.append(parse_timestamp(row[1]))
-                    ys.append(float(row[2]))
-                    rows.append([float(v) for v in row[3:]])
-                except ValueError as exc:
-                    raise SchemaError(f"{path} line {reader.line_num}: {exc}") from exc
-        X = np.array(rows, dtype=float).reshape(len(rows), len(names))
-        return cls(names, X, np.array(ys, dtype=float),
-                   np.array(numbers, dtype=int), created)
+        header, rows = read_table(path, (*_CSV_HEAD, "..."), lambda row: (
+            int(row[0]), parse_timestamp(row[1]), float(row[2]),
+            [float(v) for v in row[3:]]))
+        names = tuple(header[len(_CSV_HEAD):])
+        X = np.array([r[3] for r in rows], dtype=float).reshape(len(rows), len(names))
+        return cls(names, X, np.array([r[2] for r in rows], dtype=float),
+                   np.array([r[0] for r in rows], dtype=int), [r[1] for r in rows])
+
+
+_CSV_HEAD = ("change_number", "created_at", "target_hours")
 
 
 def dimension_features(dimension: str) -> tuple[str, ...]:

@@ -46,12 +46,9 @@ def _make_diff(rng: np.random.Generator, inserted: int, deleted: int) -> dict:
     """Fabricate a diff document with 1-3 edit hunks matching the line counts."""
     content: list[dict] = [{"ab": ["ctx"] * int(rng.integers(1, 5))}]
     hunks = int(rng.integers(1, 4))
-    ins_split = np.zeros(hunks, dtype=int)
-    del_split = np.zeros(hunks, dtype=int)
-    for _ in range(inserted):
-        ins_split[rng.integers(0, hunks)] += 1
-    for _ in range(deleted):
-        del_split[rng.integers(0, hunks)] += 1
+    # one uniform hunk per line, drawn in one call: the stream of a draw per line
+    ins_split = np.bincount(rng.integers(0, hunks, size=inserted), minlength=hunks)
+    del_split = np.bincount(rng.integers(0, hunks, size=deleted), minlength=hunks)
     for h in range(hunks):
         block: dict = {}
         if del_split[h]:

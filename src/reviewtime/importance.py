@@ -8,13 +8,13 @@ covariate, not selection variance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dataset import write_table
 from .errors import ReviewTimeError, UnknownUnitError
 from .evaluation import EvalResult, PipelineConfig, run_online_validation
 from .features import DIMENSIONS, FeatureMatrix, dimension_features
@@ -28,19 +28,11 @@ class ImportanceResult:
     mae_full: np.ndarray
 
     def to_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["unit", "rank", "delta_median", "delta_mean", "n"])
-            for name in sorted(self.unit_deltas,
-                               key=lambda u: (self.ranking.rank_of(u), u)):
-                deltas = self.unit_deltas[name]
-                writer.writerow([
-                    name, self.ranking.rank_of(name),
-                    repr(float(np.median(deltas))), repr(float(deltas.mean())),
-                    deltas.size,
-                ])
+        rank = self.ranking.rank_of
+        write_table(path, ("unit", "rank", "delta_median", "delta_mean", "n"), (
+            (name, rank(name), np.median(deltas), deltas.mean(), deltas.size)
+            for name, deltas in sorted(self.unit_deltas.items(),
+                                       key=lambda item: (rank(item[0]), item[0]))))
 
 
 @dataclass(frozen=True)

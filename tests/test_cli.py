@@ -456,3 +456,81 @@ class TestMalformedInput:
                      "--features", str(path)]) == 1
         err = capsys.readouterr().err
         assert "SchemaError" in err and f"{path} line 6" in err
+
+    @pytest.mark.parametrize("edit", [lambda cells: cells + ["extra"],
+                                      lambda cells: cells[:-1]],
+                             ids=["cell-too-many", "cell-too-few"])
+    def test_compare_names_a_row_of_the_wrong_width(self, tmp_path, capsys, edit):
+        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5, (0, 20), (20, 25))
+                   for i in range(5)]
+        for name in ("A", "B"):
+            EvalResult(name, records).to_csv(tmp_path / f"eval_{name}.csv")
+        path = tmp_path / "eval_B.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config_path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+        assert main(["compare", "--config", str(config_path),
+                     str(tmp_path / "eval_A.csv"), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and f"{path} line 3" in err
+
+    @pytest.mark.parametrize("command, name, line", [
+        ("evaluate", "features.csv", 4), ("compare", "eval_B.csv", 3)])
+    def test_a_result_file_that_is_not_utf8_names_the_line(self, tmp_path, capsys,
+                                                          command, name, line):
+        synthetic_matrix(n=60).to_csv(tmp_path / "features.csv")
+        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5, (0, 20), (20, 25))
+                   for i in range(5)]
+        for algo in ("A", "B"):
+            EvalResult(algo, records).to_csv(tmp_path / f"eval_{algo}.csv")
+        path = tmp_path / name
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1].replace(b",", b",\xe9", 1)
+        path.write_bytes(b"\n".join(lines))
+        config_path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+        args = ["--features", str(path)] if command == "evaluate" \
+            else [str(tmp_path / "eval_A.csv"), str(path)]
+        assert main([command, "--config", str(config_path), *args]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and f"{path} line {line}" in err
+
+    def test_filter_names_a_dataset_line_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "in.jsonl"
+        ds.write_dataset([make_record(1), make_record(2)], path)
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1].replace(b"Fix crash", b"Fix \xff crash", 1)
+        path.write_bytes(b"\n".join(lines))
+        config_path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+        assert main(["filter", "--config", str(config_path), "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and f"{path} line 2" in err
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"out_dir": "caf\xe9"}')
+        assert main(["filter", "--config", str(path), "--in", "x.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err
+
+    def test_compare_with_no_common_key(self, tmp_path, capsys):
+        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5, (0, 20), (20, 25))
+                   for i in range(5)]
+        EvalResult("LR", records).to_csv(tmp_path / "eval_LR.csv")
+        EvalResult("GB", []).to_csv(tmp_path / "eval_GB.csv")
+        config_path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+        assert main(["compare", "--config", str(config_path),
+                     str(tmp_path / "eval_LR.csv"), str(tmp_path / "eval_GB.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "no (repeat, iteration) is scored in every result file" in err
+
+    @pytest.mark.parametrize("text", ['{"KNN": {"mae": ', '{"KNN": {"sa": {}}}'],
+                             ids=["not-json", "no-mae"])
+    def test_report_names_a_malformed_summary(self, tmp_path, capsys, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "eval_summary.json").write_text(text, encoding="utf-8")
+        config_path = write_config(tmp_path / "c.json", out_dir=str(out))
+        assert main(["report", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and str(out / "eval_summary.json") in err

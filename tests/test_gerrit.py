@@ -11,6 +11,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 import requests
 from hypothesis import given
@@ -34,6 +35,7 @@ from reviewtime.gerrit import (
     parse_gerrit_json,
     parse_gerrit_timestamp,
 )
+from reviewtime.gerrit_fixture import _make_diff
 
 
 def make_config(base_url="http://localhost:1", **kwargs):
@@ -176,6 +178,41 @@ class TestDiffSegments:
 
     def test_empty(self):
         assert parse_diff_segments({"content": [{"ab": ["x"]}]}) == (0, 0, 0)
+
+
+def make_diff_per_line(rng, inserted, deleted):
+    """The fixture's diff generator as first written, one hunk draw per line."""
+    content = [{"ab": ["ctx"] * int(rng.integers(1, 5))}]
+    hunks = int(rng.integers(1, 4))
+    ins_split = np.zeros(hunks, dtype=int)
+    del_split = np.zeros(hunks, dtype=int)
+    for _ in range(inserted):
+        ins_split[rng.integers(0, hunks)] += 1
+    for _ in range(deleted):
+        del_split[rng.integers(0, hunks)] += 1
+    for h in range(hunks):
+        block = {}
+        if del_split[h]:
+            block["a"] = ["old"] * int(del_split[h])
+        if ins_split[h]:
+            block["b"] = ["new"] * int(ins_split[h])
+        if block:
+            content.append(block)
+            content.append({"ab": ["ctx"] * int(rng.integers(1, 5))})
+    return {"content": content}
+
+
+class TestFixtureDiffs:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_a_draw_per_line(self, seed):
+        """Drawing every line's hunk in one call leaves the diffs and the
+        generator's stream as a draw per line left them."""
+        counts = np.random.default_rng(seed).integers(0, 300, size=(6, 2))
+        fast, slow = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+        for inserted, deleted in [(0, 0), (1, 0), (0, 1), *counts.tolist()]:
+            assert _make_diff(fast, inserted, deleted) \
+                == make_diff_per_line(slow, inserted, deleted)
+            assert fast.bit_generator.state == slow.bit_generator.state
 
 
 class TestFetch:
