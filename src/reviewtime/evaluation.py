@@ -8,6 +8,7 @@ and their record is replicated across repeats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -150,9 +151,15 @@ _CSV_HEADER = ("repeat", "iteration", "mae", "mre", "sa", "n_train", "n_test",
 
 def _parse_record(row: list[str]) -> EvalRecord:
     n_train, n_test = int(row[5]), int(row[6])
-    return EvalRecord(int(row[0]), int(row[1]), float(row[2]), float(row[3]),
-                      float(row[4]), n_train, n_test, (0, n_train),
-                      (n_train, n_train + n_test), bool(int(row[7])), row[8])
+    if row[7] not in ("0", "1"):
+        raise ValueError(f"failed must be 0 or 1, not {row[7]!r}")
+    failed = row[7] == "1"
+    metrics = float(row[2]), float(row[3]), float(row[4])
+    # a scored row's metrics are averaged by summary(); only a failed row is nan
+    if not failed and not all(map(math.isfinite, metrics)):
+        raise ValueError(f"a scored row needs finite mae, mre and sa, not {row[2:5]}")
+    return EvalRecord(int(row[0]), int(row[1]), *metrics, n_train, n_test,
+                      (0, n_train), (n_train, n_train + n_test), failed, row[8])
 
 
 def mae(pred: Sequence[float], actual: Sequence[float]) -> float:

@@ -25,8 +25,7 @@ from pathlib import Path
 from types import UnionType
 from typing import (Any, Callable, Iterator, Mapping, Sequence, get_args,
                     get_origin, get_type_hints)
-
-import requests
+from urllib.parse import quote
 
 from .errors import HttpError, MalformedJsonError, NotFoundError, SchemaError
 
@@ -288,6 +287,8 @@ class GerritClient:
     """
 
     def __init__(self, config: CrawlConfig):
+        import requests  # only a crawl needs it; importing it costs every command
+
         self.config = config
         self.session = requests.Session()
         self.session.trust_env = False
@@ -320,6 +321,8 @@ class GerritClient:
         self.session.close()
 
     def _get(self, path: str, params: dict | None = None) -> Any:
+        import requests
+
         url = self.config.base_url.rstrip("/") + path
         last_exc: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
@@ -377,7 +380,7 @@ class GerritClient:
         for path in revision.get("files", {}):
             if path in PSEUDO_FILES:
                 continue
-            quoted = requests.utils.quote(path, safe="")
+            quoted = quote(path, safe="")
             try:
                 diffs[path] = self._get(
                     f"/changes/{number}/revisions/1/files/{quoted}/diff"
@@ -535,6 +538,8 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
                        complete=False, segments_from_diff=config.fetch_file_diffs
                        and (manifest.segments_from_diff or not seen))
     ds.write_manifest(manifest, output_path)
+
+    import requests
 
     client = GerritClient(config)
     # one pooled connection per worker; requests keeps 10 per host otherwise

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2, rankdata
 
 from .errors import (
     AllZeroDifferencesError,
@@ -25,6 +26,11 @@ SCOTT_KNOTT_ALPHA = 0.05
 NEGLIGIBLE_D = 0.2
 
 CLIFFS_THRESHOLDS = ((0.147, "N"), (0.33, "S"), (0.474, "M"))
+
+# the relative accuracy at which the incomplete gamma sums stop, and the
+# floor that keeps the continued fraction's divisions finite
+_GAMMA_EPS = sys.float_info.epsilon
+_GAMMA_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,77 @@ class EsdRanking:
             if name in cluster:
                 return rank
         raise KeyError(name)
+
+
+def rankdata(values: Sequence[float]) -> np.ndarray:
+    """Ranks 1..n of ``values``; tied values share the mean of their ranks."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.ones(values.size, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    # a run of ties at sorted positions s..e-1 holds the ranks s+1..e
+    bounds = np.append(np.flatnonzero(starts), values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = (0.5 * (bounds[:-1] + bounds[1:] + 1))[np.cumsum(starts) - 1]
+    return ranks
+
+
+def _gamma_p(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma function P(a, x), a > 0, x >= 0.
+
+    The power series below x = a + 1, and above it the continued fraction
+    for Q = 1 - P by the modified Lentz method (Numerical Recipes, 3rd ed.,
+    section 6.2), where each converges quickly.
+    """
+    if x <= 0.0:
+        return 0.0
+    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        denominator = a
+        while abs(term) >= abs(total) * _GAMMA_EPS:
+            denominator += 1.0
+            term *= x / denominator
+            total += term
+        return prefactor * total
+    b = x + 1.0 - a
+    c = 1.0 / _GAMMA_TINY
+    d = 1.0 / b
+    fraction = d
+    for i in itertools.count(1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < _GAMMA_TINY:
+            d = _GAMMA_TINY
+        c = b + an / c
+        if abs(c) < _GAMMA_TINY:
+            c = _GAMMA_TINY
+        d = 1.0 / d
+        step = d * c
+        fraction *= step
+        if abs(step - 1.0) < _GAMMA_EPS:
+            return 1.0 - prefactor * fraction
+
+
+def chi2_ppf(p: float, dof: float) -> float:
+    """Quantile function of the chi-square distribution, 0 < p < 1, dof > 0.
+
+    Bisects the CDF P(dof/2, q/2) until the bracket is two adjacent floats
+    and returns its upper end, so the result is exact up to the rounding of
+    the CDF.
+    """
+    a = dof / 2.0
+    low, high = 0.0, max(dof, 1.0)
+    while _gamma_p(a, high / 2.0) < p:
+        low, high = high, 2.0 * high
+    while low < (mid := 0.5 * (low + high)) < high:
+        if _gamma_p(a, mid / 2.0) < p:
+            low = mid
+        else:
+            high = mid
+    return high
 
 
 def _exact_wilcoxon_cdf(ranks: np.ndarray, w: float) -> float:
@@ -190,7 +267,7 @@ def _scott_knott_partition(groups: list[tuple[str, np.ndarray]]) -> list[list[tu
     else:
         lam = math.pi / (2.0 * (math.pi - 2.0)) * (best_b / mean_rep) / sigma2
         dof = k / (math.pi - 2.0)
-        significant = lam > chi2.ppf(1.0 - SCOTT_KNOTT_ALPHA, dof)
+        significant = lam > chi2_ppf(1.0 - SCOTT_KNOTT_ALPHA, dof)
     if not significant:
         return [groups]
     left = _scott_knott_partition(groups[:best_cut])

@@ -196,6 +196,18 @@ class TestTableRule:
         with pytest.raises(SchemaError, match=f"{path} line 5: .*no good"):
             ds.read_table(path, ("p",), parse)
 
+    @pytest.mark.parametrize("row, message", [
+        (b"2,0,1.0,0.1,50.0,20,5,2,", "failed must be 0 or 1, not '2'"),
+        (b"2,0,1.0,0.1,50.0,20,5,-1,", "failed must be 0 or 1, not '-1'"),
+        (b"2,0,nan,nan,nan,20,5,0,", "a scored row needs finite mae, mre and sa"),
+        (b"2,0,1.0,inf,50.0,20,5,0,", "a scored row needs finite mae, mre and sa"),
+    ], ids=["failed-2", "failed-minus-1", "scored-nan", "scored-inf"])
+    def test_eval_row_rule_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "eval_X.csv"
+        path.write_bytes((RESULTS_DIR / "eval_KNN.csv").read_bytes() + row + b"\r\n")
+        with pytest.raises(SchemaError, match=f"{path} line 8: {message}"):
+            EvalResult.from_csv(path)
+
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"p,q\r\n1,2\r\n3,\xff\r\n")

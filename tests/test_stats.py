@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from reviewtime.errors import (
 )
 from reviewtime.stats import (
     bonferroni,
+    chi2_ppf,
     cliffs_delta,
     cohens_d,
     compare_pairwise,
+    rankdata,
     scott_knott_esd,
     wilcoxon_signed_rank,
 )
@@ -120,6 +123,26 @@ class TestWilcoxon:
                     assert p <= alpha, (alpha, n, w_target, p)
                 else:
                     assert p > alpha, (alpha, n, w_target, p)
+
+
+class TestScipyFreeHelpers:
+    """The two helpers that stand in for scipy, with scipy as the oracle."""
+
+    def test_rankdata_matches_scipy_on_tied_vectors(self):
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            n = int(rng.integers(0, 40))
+            values = rng.integers(0, int(rng.integers(1, 12)), size=n) * 0.25
+            np.testing.assert_array_equal(rankdata(values), sps.rankdata(values))
+
+    def test_chi2_ppf_matches_scipy_at_the_scott_knott_dof(self):
+        # dof = k / (pi - 2) is the Scott-Knott criterion's; over k = 1..399
+        # the bisection evaluates the CDF on both sides of the switch between
+        # the series and the continued fraction
+        for k in range(1, 400):
+            dof = k / (math.pi - 2.0)
+            expected = sps.chi2.ppf(0.95, dof)
+            assert chi2_ppf(0.95, dof) == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 class TestBonferroni:
