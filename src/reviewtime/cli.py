@@ -63,9 +63,7 @@ def cmd_crawl(config: RunConfig, args) -> dict:
 def cmd_filter(config: RunConfig, args) -> None:
     out = config.out_dir
     records, manifest = ds.read_dataset(args.input)
-    bot_accounts = config.crawl.bot_accounts if config.crawl \
-        else gerrit.DEFAULT_BOT_ACCOUNTS
-    kept, report = ds.apply_filters(records, config.filter_policy, bot_accounts)
+    kept, report = ds.apply_filters(records, config.filter_policy)
     kept = ds.sort_by_creation(kept)
     ds.write_dataset(kept, out / "filtered.jsonl", project=manifest.project,
                      query=manifest.crawl_query, filter_policy=config.filter_policy,
@@ -205,6 +203,13 @@ def cmd_report(config: RunConfig, args) -> dict:
     return {"artifacts": len(artifacts)}
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reviewtime",
@@ -219,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crawl", help="fetch changes from the Gerrit server")
     common(p)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent diff fetches")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="concurrent diff fetches")
     p.set_defaults(func=cmd_crawl)
 
     p = sub.add_parser("filter", help="apply the training-data filters")

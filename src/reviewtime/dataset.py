@@ -20,15 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotCompletedError, SchemaError
-from .gerrit import (
-    DEFAULT_BOT_ACCOUNTS,
-    ChangeRecord,
-    ChangeStatus,
-    FileDiff,
-    ReviewMessage,
-    check_field_types,
-    is_bot_account,
-)
+from .gerrit import ChangeRecord, ChangeStatus, FileDiff, ReviewMessage, check_field_types
 
 SCHEMA_VERSION = "1"
 MANIFEST_NAME = "manifest.json"
@@ -84,21 +76,13 @@ def completion_time_hours(record: ChangeRecord) -> float:
     return (record.closed_at - record.created_at).total_seconds() / 3600.0
 
 
-def is_self_reviewed(record: ChangeRecord,
-                     bot_accounts: Sequence[str] = DEFAULT_BOT_ACCOUNTS) -> bool:
-    """True when no message comes from a human other than the owner."""
-    for msg in record.messages:
-        if msg.author_id == record.owner_id:
-            continue
-        if msg.from_bot or is_bot_account(msg.author_name, bot_accounts):
-            continue
-        return False
-    return True
+def is_self_reviewed(record: ChangeRecord) -> bool:
+    """True when no human other than the owner took part (``participants``)."""
+    return not record.participants
 
 
-def apply_filters(records: Sequence[ChangeRecord], policy: FilterPolicy,
-                  bot_accounts: Sequence[str] = DEFAULT_BOT_ACCOUNTS,
-                  ) -> tuple[list[ChangeRecord], FilterReport]:
+def apply_filters(records: Sequence[ChangeRecord],
+                  policy: FilterPolicy) -> tuple[list[ChangeRecord], FilterReport]:
     """Drop irrelevant records, counting each under its first matching rule."""
     kept: list[ChangeRecord] = []
     incomplete = reopened = self_reviewed = short = long_ = 0
@@ -109,7 +93,7 @@ def apply_filters(records: Sequence[ChangeRecord], policy: FilterPolicy,
         if policy.drop_reopened and record.reopened:
             reopened += 1
             continue
-        if policy.drop_self_reviewed and is_self_reviewed(record, bot_accounts):
+        if policy.drop_self_reviewed and is_self_reviewed(record):
             self_reviewed += 1
             continue
         duration = completion_time_hours(record)

@@ -302,7 +302,7 @@ def extract_text_features(record: ChangeRecord,
 
 class PriorHistory:
     """Completed changes created before a record, indexed by owner, subsystem,
-    path and message author.
+    path and participant.
 
     Changes enter only through :meth:`add` and keep the position at which
     they entered; each index lists positions in that order, so every
@@ -320,7 +320,7 @@ class PriorHistory:
         self.by_owner: dict[int, list[int]] = {}
         self.by_subsystem: dict[str, list[int]] = {}
         self.by_path: dict[str, list[int]] = {}
-        self.by_author: dict[int, list[int]] = {}
+        self.by_participant: dict[int, list[int]] = {}
         for change in changes:
             self.add(change)
 
@@ -341,8 +341,8 @@ class PriorHistory:
             self.by_subsystem.setdefault(subsystem, []).append(position)
         for path in {f.path for f in change.files}:
             self.by_path.setdefault(path, []).append(position)
-        for author in {m.author_id for m in change.messages}:
-            self.by_author.setdefault(author, []).append(position)
+        for participant in change.participants:
+            self.by_participant.setdefault(participant, []).append(position)
 
 
 def _as_prior_history(prior: Sequence[ChangeRecord] | PriorHistory) -> PriorHistory:
@@ -373,8 +373,7 @@ def extract_owner_experience(record: ChangeRecord,
 
     dur_quad = _quadruple([prior.hours[p] for p in own])
 
-    reviewed = sum(1 for p in prior.by_author.get(owner, ())
-                   if prior.owners[p] != owner)
+    reviewed = len(prior.by_participant.get(owner, ()))
     own_messages = sum(prior.owner_messages[p] for p in own)
     exchanged_per_change = [prior.human_messages[p] for p in own]
     msg_quad = _quadruple(exchanged_per_change)

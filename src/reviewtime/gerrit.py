@@ -23,8 +23,8 @@ from enum import Enum
 from functools import cache, cached_property
 from pathlib import Path
 from types import UnionType
-from typing import (Any, Callable, Iterator, Mapping, Sequence, get_args,
-                    get_origin, get_type_hints)
+from typing import (Any, Callable, Iterator, Mapping, get_args, get_origin,
+                    get_type_hints)
 from urllib.parse import quote
 
 from .errors import HttpError, MalformedJsonError, NotFoundError, SchemaError
@@ -210,19 +210,27 @@ class ChangeRecord:
             raise SchemaError(f"change {self.number}: closed_at precedes created_at")
 
     @cached_property
-    def interaction_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Sorted (owner, participant) keys, one per distinct participant.
+    def participants(self) -> tuple[int, ...]:
+        """Who took part in the review: the human message authors other than
+        the owner, each once, in the iteration order of their set.
 
-        Participants are the human message authors other than the owner,
-        taken in the iteration order of their set.  Built once per record,
-        so every window graph that holds the record counts the same keys in
-        the same order.
+        The one rule that the self-review filter, the interaction graph and
+        the history index read; :func:`normalize_change` decides ``from_bot``.
         """
         owner = self.owner_id
-        participants = {m.author_id for m in self.messages
-                        if m.author_id != owner and not m.from_bot}
+        return tuple({m.author_id for m in self.messages
+                      if m.author_id != owner and not m.from_bot})
+
+    @cached_property
+    def interaction_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (owner, participant) keys, one per participant, in the
+        order of :attr:`participants`.  Built once per record, so every
+        window graph that holds the record counts the same keys in the same
+        order.
+        """
+        owner = self.owner_id
         return tuple((owner, p) if owner < p else (p, owner)
-                     for p in participants)
+                     for p in self.participants)
 
 
 def parse_gerrit_json(body: bytes | str) -> Any:
@@ -248,10 +256,6 @@ def parse_gerrit_timestamp(value: str) -> datetime:
     dt = datetime.strptime(main, "%Y-%m-%d %H:%M:%S")
     micros = int(frac[:6].ljust(6, "0")) if frac else 0
     return dt.replace(microsecond=micros, tzinfo=timezone.utc)
-
-
-def is_bot_account(name: str, bot_accounts: Sequence[str]) -> bool:
-    return any(marker in name for marker in bot_accounts)
 
 
 def parse_diff_segments(diff_doc: dict) -> tuple[int, int, int]:
@@ -424,87 +428,102 @@ def _require(doc: dict, key: str):
 
 
 def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
-    """Normalize a raw Gerrit change document into a ChangeRecord."""
+    """Normalize a raw Gerrit change document into a ChangeRecord.
+
+    Here, and only here, a message is marked ``from_bot``: when it has no
+    author account, as the messages Gerrit's server writes itself, or when
+    its author's name holds one of ``config.bot_accounts``.  The record, its
+    files and its messages pass :func:`check_field_types`, so a crawl writes
+    only what :func:`dataset.read_dataset` reads back; a value of the wrong
+    type or shape in the document is a SchemaError naming the change.
+    """
     doc = raw.data
-    number = int(_require(doc, "_number"))
-    status = ChangeStatus(_require(doc, "status"))
-    created_at = parse_gerrit_timestamp(_require(doc, "created"))
-    owner = _require(doc, "owner")
-    owner_id = int(_require(owner, "_account_id"))
-    owner_name = owner.get("name", "")
-    subject = doc.get("subject", "")
+    try:
+        number = int(_require(doc, "_number"))
+        status = ChangeStatus(_require(doc, "status"))
+        created_at = parse_gerrit_timestamp(_require(doc, "created"))
+        owner = _require(doc, "owner")
+        owner_id = int(_require(owner, "_account_id"))
+        owner_name = owner.get("name", "")
+        subject = doc.get("subject", "")
 
-    closed_at = None
-    if status in (ChangeStatus.MERGED, ChangeStatus.ABANDONED):
-        closed_raw = doc.get("submitted") if status is ChangeStatus.MERGED else None
-        if closed_raw is None:
-            closed_raw = doc.get("updated")
-        if closed_raw is None:
-            raise SchemaError(f"change {number}: no submitted/updated timestamp")
-        closed_at = parse_gerrit_timestamp(closed_raw)
+        closed_at = None
+        if status in (ChangeStatus.MERGED, ChangeStatus.ABANDONED):
+            closed_raw = doc.get("submitted") if status is ChangeStatus.MERGED else None
+            if closed_raw is None:
+                closed_raw = doc.get("updated")
+            if closed_raw is None:
+                raise SchemaError(f"change {number}: no submitted/updated timestamp")
+            closed_at = parse_gerrit_timestamp(closed_raw)
 
-    revision = _first_revision(doc)
-    tz_offset = 0
-    tz_missing = True
-    message_body = ""
-    files: list[FileDiff] = []
-    if revision is not None:
-        commit = revision.get("commit") or {}
-        author = commit.get("author") or {}
-        if "tz" in author:
-            tz_offset = int(author["tz"])
-            tz_missing = False
-        message_body = commit.get("message", "")
-        file_diffs = doc.get("_file_diffs") or {}
-        for path in sorted(revision.get("files", {})):
-            if path in PSEUDO_FILES:
-                continue
-            info = revision["files"][path]
-            segments = None
-            if path in file_diffs:
-                segments = parse_diff_segments(file_diffs[path])
-            files.append(FileDiff(
-                path=path,
-                lines_inserted=int(info.get("lines_inserted", 0)),
-                lines_deleted=int(info.get("lines_deleted", 0)),
-                segments=segments,
+        revision = _first_revision(doc)
+        tz_offset = 0
+        tz_missing = True
+        message_body = ""
+        files: list[FileDiff] = []
+        if revision is not None:
+            commit = revision.get("commit") or {}
+            author = commit.get("author") or {}
+            if "tz" in author:
+                tz_offset = int(author["tz"])
+                tz_missing = False
+            message_body = commit.get("message", "")
+            file_diffs = doc.get("_file_diffs") or {}
+            for path in sorted(revision.get("files", {})):
+                if path in PSEUDO_FILES:
+                    continue
+                info = revision["files"][path]
+                segments = None
+                if path in file_diffs:
+                    segments = parse_diff_segments(file_diffs[path])
+                files.append(FileDiff(
+                    path=path,
+                    lines_inserted=int(info.get("lines_inserted", 0)),
+                    lines_deleted=int(info.get("lines_deleted", 0)),
+                    segments=segments,
+                ))
+
+        messages: list[ReviewMessage] = []
+        for msg in doc.get("messages", []):
+            author = msg.get("author") or {}
+            name = author.get("name", "")
+            messages.append(ReviewMessage(
+                author_id=int(author.get("_account_id", -1)),
+                author_name=name,
+                posted_at=parse_gerrit_timestamp(_require(msg, "date")),
+                text=msg.get("message", ""),
+                revision_number=msg.get("_revision_number"),
+                from_bot="_account_id" not in author
+                or any(marker in name for marker in config.bot_accounts),
             ))
 
-    messages: list[ReviewMessage] = []
-    for msg in doc.get("messages", []):
-        author = msg.get("author") or {}
-        name = author.get("name", "")
-        messages.append(ReviewMessage(
-            author_id=int(author.get("_account_id", -1)),
-            author_name=name,
-            posted_at=parse_gerrit_timestamp(_require(msg, "date")),
-            text=msg.get("message", ""),
-            revision_number=msg.get("_revision_number"),
-            from_bot=is_bot_account(name, config.bot_accounts),
-        ))
+        reopened = any(m.text.startswith(RESTORE_MARKER) for m in messages)
 
-    reopened = any(m.text.startswith(RESTORE_MARKER) for m in messages)
-
-    return ChangeRecord(
-        change_id=doc.get("change_id", doc.get("id", str(number))),
-        number=number,
-        project=doc.get("project", ""),
-        branch=doc.get("branch", ""),
-        status=status,
-        created_at=created_at,
-        closed_at=closed_at,
-        owner_id=owner_id,
-        owner_name=owner_name,
-        owner_tz_offset_minutes=tz_offset,
-        subject=subject,
-        message_body=message_body,
-        files=tuple(files),
-        messages=tuple(messages),
-        reopened=reopened,
-        insertions_total=sum(f.lines_inserted for f in files),
-        deletions_total=sum(f.lines_deleted for f in files),
-        tz_offset_missing=tz_missing,
-    )
+        record = ChangeRecord(
+            change_id=doc.get("change_id", doc.get("id", str(number))),
+            number=number,
+            project=doc.get("project", ""),
+            branch=doc.get("branch", ""),
+            status=status,
+            created_at=created_at,
+            closed_at=closed_at,
+            owner_id=owner_id,
+            owner_name=owner_name,
+            owner_tz_offset_minutes=tz_offset,
+            subject=subject,
+            message_body=message_body,
+            files=tuple(files),
+            messages=tuple(messages),
+            reopened=reopened,
+            insertions_total=sum(f.lines_inserted for f in files),
+            deletions_total=sum(f.lines_deleted for f in files),
+            tz_offset_missing=tz_missing,
+        )
+        for value in (record, *record.files, *record.messages):
+            check_field_types(type(value), vars(value))
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise SchemaError(f"change {doc['_number']}: {exc}") from exc
+    return record
 
 
 def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):

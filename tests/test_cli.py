@@ -17,6 +17,7 @@ from reviewtime.cli import build_parser, main
 from reviewtime.config import load_run_config
 from reviewtime.errors import ConfigError
 from reviewtime.evaluation import EvalRecord, EvalResult
+from reviewtime.gerrit_fixture import FixtureGerritServer, generate_corpus
 from reviewtime.stats import compare_pairwise
 
 
@@ -213,6 +214,13 @@ class TestConfig:
         args = build_parser().parse_args(["crawl", "--config", str(path), "--jobs", "2"])
         assert args.jobs == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_crawl_jobs_below_one_is_a_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["crawl", "--config", "c.json", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 @pytest.fixture()
 def crawled_dir(fixture_server, tmp_path):
@@ -378,6 +386,20 @@ class TestMalformedInput:
         assert main(["crawl", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert "SchemaError" in err and "line 3" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["messages"][0].update(_revision_number="1"),
+        lambda doc: doc.update(created="yesterday"),
+    ], ids=["revision_number", "created"])
+    def test_crawl_names_a_change_it_could_not_read_back(self, tmp_path, capsys, edit):
+        corpus = generate_corpus(5, seed=1)
+        edit(corpus[2])
+        with FixtureGerritServer(corpus) as server:
+            config_path = write_config(tmp_path / "run.json", server.base_url,
+                                       out_dir=str(tmp_path / "out"))
+            assert main(["crawl", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and "change 3:" in err
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("project"),

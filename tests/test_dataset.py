@@ -10,9 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reviewtime import collab
 from reviewtime import dataset as ds
 from reviewtime.errors import NotCompletedError, SchemaError
-from reviewtime.gerrit import ChangeRecord, ChangeStatus, FileDiff, ReviewMessage
+from reviewtime.features import PriorHistory
+from reviewtime.gerrit import (ChangeRecord, ChangeStatus, CrawlConfig, FileDiff,
+                               RawChange, ReviewMessage, normalize_change)
+from reviewtime.gerrit_fixture import generate_corpus
 
 from conftest import BASE_TIME, make_message, make_record
 
@@ -44,13 +48,35 @@ class TestSelfReviewed:
     def test_owner_plus_bot_only(self):
         record = make_record(owner=100, messages=(
             make_message(100),
-            make_message(900, name="Jenkins Build"),
+            make_message(900, name="Jenkins Build", from_bot=True),
         ))
         assert ds.is_self_reviewed(record) is True
 
     def test_no_messages(self):
         record = make_record(messages=())
         assert ds.is_self_reviewed(record) is True
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_filter_graph_and_history_agree_on_participants(seed):
+    """The self-review filter, the interaction graph and the history index
+    see the same people take part in each crawled change."""
+    config = CrawlConfig(base_url="http://fixture.invalid")
+    records = [normalize_change(RawChange(doc, BASE_TIME), config)
+               for doc in generate_corpus(200, seed=seed)]
+    closed = [r for r in records if r.closed_at is not None]
+    history = PriorHistory(closed)
+    indexed = [set() for _ in closed]
+    for participant, positions in history.by_participant.items():
+        for position in positions:
+            indexed[position].add(participant)
+    assert any(ds.is_self_reviewed(r) for r in closed)
+    assert any(any(m.from_bot for m in r.messages) for r in closed)
+    for record, participants in zip(closed, indexed):
+        graph = collab.build_graph([record], record.created_at + timedelta(seconds=1))
+        in_graph = graph.nodes - {record.owner_id}
+        assert participants == in_graph == set(record.participants)
+        assert ds.is_self_reviewed(record) == (not graph.nodes)
 
 
 def boundary_records():
@@ -62,7 +88,7 @@ def boundary_records():
         make_record(3, duration_hours=100.0,
                     messages=(make_message(100),)),                # self (owner only)
         make_record(4, duration_hours=100.0, messages=(
-            make_message(100), make_message(900, name="CI runner"),
+            make_message(100), make_message(900, name="CI runner", from_bot=True),
         )),                                                        # self (owner + bot)
         make_record(5, duration_hours=24.0),                       # short: exactly 24h
         make_record(6, duration_hours=10.0),                       # short

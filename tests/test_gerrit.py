@@ -35,7 +35,7 @@ from reviewtime.gerrit import (
     parse_gerrit_json,
     parse_gerrit_timestamp,
 )
-from reviewtime.gerrit_fixture import _make_diff
+from reviewtime.gerrit_fixture import _make_diff, generate_corpus
 
 
 def make_config(base_url="http://localhost:1", **kwargs):
@@ -153,6 +153,34 @@ class TestNormalizeChange:
         ])
         record = normalize_change(as_raw(doc), make_config())
         assert [m.from_bot for m in record.messages] == [True, False]
+
+    def test_a_custom_bot_name_makes_a_self_review(self):
+        doc = detail_doc(messages=[
+            {"author": {"_account_id": 100, "name": "dev-a"},
+             "date": "2021-04-28 09:00:00.000000000", "message": "Uploaded"},
+            {"author": {"_account_id": 950, "name": "Gatekeeper"},
+             "date": "2021-04-28 10:00:00.000000000", "message": "Verified+1"},
+        ])
+        assert not ds.is_self_reviewed(normalize_change(as_raw(doc), make_config()))
+        record = normalize_change(as_raw(doc), make_config(bot_accounts=("Gatekeeper",)))
+        assert record.messages[1].from_bot and record.participants == ()
+        assert ds.is_self_reviewed(record)
+
+    @pytest.mark.parametrize("number", [4, 13], ids=["reviewed", "self-reviewed"])
+    def test_a_message_with_no_author_is_no_participant(self, number):
+        doc = generate_corpus(number, seed=1)[number - 1]
+        # Gerrit's server writes messages of its own, with no author
+        server_message = {"date": doc["messages"][-1]["date"],
+                          "message": "Change has been successfully merged",
+                          "_revision_number": 1}
+        before = normalize_change(as_raw(doc), make_config())
+        after = normalize_change(
+            as_raw({**doc, "messages": [*doc["messages"], server_message]}),
+            make_config())
+        assert after.interaction_pairs == before.interaction_pairs
+        assert ds.is_self_reviewed(after) == ds.is_self_reviewed(before)
+        assert after.participants == before.participants
+        assert after.messages[-1].from_bot
 
     def test_missing_key_raises_schema_error(self):
         doc = detail_doc()
