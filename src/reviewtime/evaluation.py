@@ -162,23 +162,24 @@ def _parse_record(row: list[str]) -> EvalRecord:
                       (0, n_train), (n_train, n_train + n_test), failed, row[8])
 
 
-def mae(pred: Sequence[float], actual: Sequence[float]) -> float:
+def _paired(name: str, pred: Sequence[float], actual: Sequence[float],
+            ) -> tuple[np.ndarray, np.ndarray]:
     pred = np.asarray(pred, dtype=float)
     actual = np.asarray(actual, dtype=float)
     if pred.shape != actual.shape:
         raise LengthMismatchError("pred and actual lengths differ")
     if pred.size == 0:
-        raise EmptyInputError("mae of empty input")
+        raise EmptyInputError(f"{name} of empty input")
+    return pred, actual
+
+
+def mae(pred: Sequence[float], actual: Sequence[float]) -> float:
+    pred, actual = _paired("mae", pred, actual)
     return float(np.mean(np.abs(pred - actual)))
 
 
 def mre(pred: Sequence[float], actual: Sequence[float]) -> float:
-    pred = np.asarray(pred, dtype=float)
-    actual = np.asarray(actual, dtype=float)
-    if pred.shape != actual.shape:
-        raise LengthMismatchError("pred and actual lengths differ")
-    if pred.size == 0:
-        raise EmptyInputError("mre of empty input")
+    pred, actual = _paired("mre", pred, actual)
     if np.any(actual <= 0):
         raise NonPositiveActualError("mre requires strictly positive actuals")
     return float(np.mean(np.abs(pred - actual) / actual))
@@ -228,22 +229,16 @@ def _fit_iteration(data: FeatureMatrix, config: PipelineConfig, iteration: int,
     X_test = apply_normalizer(norm, X_test)
 
     names = list(data.feature_names)
+    spec = (config.spec or RegressorSpec(config.algorithm)).with_seed(seed)
     if config.selection != "none":
-        selector_spec = config.spec.with_seed(seed) if config.spec is not None \
-            else RegressorSpec(config.algorithm, seed=seed)
-        if config.selection == "rfe":
-            chosen = rfe_select(selector_spec, X_train, y_train, names).selected
-        else:
-            chosen = sequential_forward_select(selector_spec, X_train, y_train,
-                                               names).selected
+        select = rfe_select if config.selection == "rfe" else sequential_forward_select
+        chosen = select(spec, X_train, y_train, names).selected
         cols = [names.index(c) for c in chosen]
         X_train = X_train[:, cols]
         X_test = X_test[:, cols]
         names = list(chosen)
 
-    if config.spec is not None:
-        spec = config.spec.with_seed(seed)
-    else:
+    if config.spec is None:
         grid = config.grid if config.grid is not None \
             else HyperGrid.default(config.algorithm)
         spec = grid_search(config.algorithm, grid, X_train, y_train, seed)
@@ -262,39 +257,27 @@ def _fit_iteration(data: FeatureMatrix, config: PipelineConfig, iteration: int,
 
 def run_online_validation(data: FeatureMatrix, config: PipelineConfig) -> EvalResult:
     """Run the 10-fold chronological protocol for every repeat and iteration."""
-    n = len(data)
-    plan = make_online_folds(n)
+    plan = make_online_folds(len(data))
     result = EvalResult(algorithm=config.algorithm.value)
     deterministic = is_deterministic(config.algorithm)
-    effective_repeats = 1 if deterministic else config.repeats
-    computed: list[list[EvalRecord]] = []
-    for repeat in range(effective_repeats):
+    for repeat in range(config.repeats):
+        if deterministic and repeat > 0:
+            result.records.extend(replace(record, repeat=repeat)
+                                  for record in result.records[:N_ITERATIONS])
+            continue
         seed = config.base_seed + repeat
-        repeat_records = []
         for iteration in range(1, N_ITERATIONS + 1):
             train_stop = plan.fold(iteration + 3)[1]  # folds 1..i+4
             test_range = plan.fold(iteration + 4)     # fold i+5
+            scores, error = (float("nan"),) * 3, ""
             try:
-                it_mae, it_mre, it_sa = _fit_iteration(
-                    data, config, iteration, train_stop, test_range, seed)
-                record = EvalRecord(
-                    repeat=repeat, iteration=iteration,
-                    mae=it_mae, mre=it_mre, sa=it_sa,
-                    n_train=train_stop, n_test=test_range[1] - test_range[0],
-                    train_range=(0, train_stop), test_range=test_range,
-                )
+                scores = _fit_iteration(data, config, iteration, train_stop,
+                                        test_range, seed)
             except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                record = EvalRecord(
-                    repeat=repeat, iteration=iteration,
-                    mae=float("nan"), mre=float("nan"), sa=float("nan"),
-                    n_train=train_stop, n_test=test_range[1] - test_range[0],
-                    train_range=(0, train_stop), test_range=test_range,
-                    failed=True, error=f"{type(exc).__name__}: {exc}",
-                )
-            repeat_records.append(record)
-        computed.append(repeat_records)
-    for repeat in range(config.repeats):
-        source = computed[repeat] if repeat < len(computed) else computed[0]
-        for record in source:
-            result.records.append(replace(record, repeat=repeat))
+                error = f"{type(exc).__name__}: {exc}"
+            result.records.append(EvalRecord(
+                repeat, iteration, *scores,
+                n_train=train_stop, n_test=test_range[1] - test_range[0],
+                train_range=(0, train_stop), test_range=test_range,
+                failed=bool(error), error=error))
     return result

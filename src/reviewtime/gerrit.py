@@ -203,11 +203,11 @@ class ChangeRecord:
     def __post_init__(self):
         closed = self.status in (ChangeStatus.MERGED, ChangeStatus.ABANDONED)
         if closed and self.closed_at is None:
-            raise SchemaError(f"change {self.number}: closed status without closed_at")
+            raise SchemaError("closed status without closed_at")
         if not closed and self.closed_at is not None:
-            raise SchemaError(f"change {self.number}: closed_at on open change")
+            raise SchemaError("closed_at on open change")
         if self.closed_at is not None and self.closed_at < self.created_at:
-            raise SchemaError(f"change {self.number}: closed_at precedes created_at")
+            raise SchemaError("closed_at precedes created_at")
 
     @cached_property
     def participants(self) -> tuple[int, ...]:
@@ -304,7 +304,6 @@ class GerritClient:
             else requests.utils.get_netrc_auth(base_url)
         self.session.verify = os.environ.get("REQUESTS_CA_BUNDLE") \
             or os.environ.get("CURL_CA_BUNDLE") or True
-        self.request_log: list[float] = []
         self._pace_lock = threading.Lock()
         self._last_request_start: float | None = None
 
@@ -318,7 +317,6 @@ class GerritClient:
                     time.sleep(earliest - now)
                     now = time.monotonic()
             self._last_request_start = now
-            self.request_log.append(now)
 
     def close(self) -> None:
         """Close the session and its pooled connections."""
@@ -421,12 +419,6 @@ def _first_revision(doc: dict) -> dict | None:
     return best
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise SchemaError(f"change document missing required key {key!r}")
-    return doc[key]
-
-
 def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
     """Normalize a raw Gerrit change document into a ChangeRecord.
 
@@ -434,16 +426,16 @@ def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
     author account, as the messages Gerrit's server writes itself, or when
     its author's name holds one of ``config.bot_accounts``.  The record, its
     files and its messages pass :func:`check_field_types`, so a crawl writes
-    only what :func:`dataset.read_dataset` reads back; a value of the wrong
-    type or shape in the document is a SchemaError naming the change.
+    only what :func:`dataset.read_dataset` reads back.  A missing key, or a
+    value of the wrong type or shape, is a SchemaError naming the change.
     """
     doc = raw.data
     try:
-        number = int(_require(doc, "_number"))
-        status = ChangeStatus(_require(doc, "status"))
-        created_at = parse_gerrit_timestamp(_require(doc, "created"))
-        owner = _require(doc, "owner")
-        owner_id = int(_require(owner, "_account_id"))
+        number = int(doc["_number"])
+        status = ChangeStatus(doc["status"])
+        created_at = parse_gerrit_timestamp(doc["created"])
+        owner = doc["owner"]
+        owner_id = int(owner["_account_id"])
         owner_name = owner.get("name", "")
         subject = doc.get("subject", "")
 
@@ -453,7 +445,7 @@ def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
             if closed_raw is None:
                 closed_raw = doc.get("updated")
             if closed_raw is None:
-                raise SchemaError(f"change {number}: no submitted/updated timestamp")
+                raise SchemaError("no submitted/updated timestamp")
             closed_at = parse_gerrit_timestamp(closed_raw)
 
         revision = _first_revision(doc)
@@ -490,7 +482,7 @@ def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
             messages.append(ReviewMessage(
                 author_id=int(author.get("_account_id", -1)),
                 author_name=name,
-                posted_at=parse_gerrit_timestamp(_require(msg, "date")),
+                posted_at=parse_gerrit_timestamp(msg["date"]),
                 text=msg.get("message", ""),
                 revision_number=msg.get("_revision_number"),
                 from_bot="_account_id" not in author
@@ -521,7 +513,9 @@ def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
         )
         for value in (record, *record.files, *record.messages):
             check_field_types(type(value), vars(value))
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+    except KeyError as exc:
+        raise SchemaError(f"change {doc['_number']}: missing key {exc}") from exc
+    except (SchemaError, ValueError, TypeError, AttributeError) as exc:
         raise SchemaError(f"change {doc['_number']}: {exc}") from exc
     return record
 

@@ -41,13 +41,15 @@ class AblationResult:
     comparisons: list[ComparisonResult]     # all-vs-each on MAE records
 
 
+def _dimension_columns(data: FeatureMatrix, dim: str) -> list[str]:
+    return [n for n in dimension_features(dim) if n in data.feature_names]
+
+
 def _unit_columns(data: FeatureMatrix, unit: str) -> list[str]:
     if unit in data.feature_names:
         return [unit]
-    if unit in DIMENSIONS:
-        columns = [n for n in dimension_features(unit) if n in data.feature_names]
-        if columns:
-            return columns
+    if unit in DIMENSIONS and (columns := _dimension_columns(data, unit)):
+        return columns
     raise UnknownUnitError(f"unknown feature or dimension {unit!r}")
 
 
@@ -115,8 +117,8 @@ def dimension_ablation(data: FeatureMatrix, config: PipelineConfig) -> AblationR
     """Full-feature run against each single-dimension run, with comparisons."""
     results: dict[str, EvalResult] = {"all": run_online_validation(data, config)}
     for dim in DIMENSIONS:
-        columns = [n for n in dimension_features(dim) if n in data.feature_names]
-        results[dim] = run_online_validation(data.restrict(columns), config)
+        results[dim] = run_online_validation(
+            data.restrict(_dimension_columns(data, dim)), config)
     mae_samples = {name: _successful_mae(result) for name, result in results.items()}
     all_sample = mae_samples["all"]
     m = len(DIMENSIONS)

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .tree import RegressionTree
+from .tree import RegressionTree, share
 
 if TYPE_CHECKING:
     from .base import RegressorSpec
@@ -29,13 +29,8 @@ def fit_random_forest(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict
                               max_features=max_features, rng=tree_rng)
         tree.fit(X[sample], y[sample])
         trees.append(tree)
-        total = tree.importances_.sum()
-        if total > 0:
-            importances += tree.importances_ / total
-
-    total = importances.sum()
-    importance = importances / total if total > 0 else importances
-    return {"trees": trees, "importance": importance}
+        importances += share(tree.importances_)
+    return {"trees": trees, "importance": share(importances)}
 
 
 def predict_random_forest(state: dict, Q: np.ndarray) -> np.ndarray:
@@ -86,18 +81,15 @@ def fit_adaboost(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     importances = np.zeros(X.shape[1])
     for tree, w in zip(trees, member_weights):
         total = tree.importances_.sum()
-        if total > 0 and w > 0:
+        if total > 0 and w > 0:  # not w * share(...), which rounds differently
             importances += w * tree.importances_ / total
-    total = importances.sum()
-    importance = importances / total if total > 0 else importances
-    return {"trees": trees, "weights": member_weights, "importance": importance}
+    return {"trees": trees, "weights": member_weights,
+            "importance": share(importances)}
 
 
 def predict_adaboost(state: dict, Q: np.ndarray) -> np.ndarray:
     """Weighted median of the member predictions."""
     preds = np.column_stack([tree.predict(Q) for tree in state["trees"]])
-    if preds.shape[1] == 1:
-        return preds[:, 0]
     order = np.argsort(preds, axis=1)
     cdf = np.cumsum(state["weights"][order], axis=1)
     half = 0.5 * cdf[:, -1]
@@ -129,10 +121,8 @@ def fit_gradient_boosting(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> 
     importances = np.zeros(X.shape[1])
     for tree in trees:
         importances += tree.importances_
-    total = importances.sum()
-    importance = importances / total if total > 0 else importances
     return {"trees": trees, "base": base, "learning_rate": learning_rate,
-            "train_mse_curve": train_curve, "importance": importance}
+            "train_mse_curve": train_curve, "importance": share(importances)}
 
 
 def predict_gradient_boosting(state: dict, Q: np.ndarray) -> np.ndarray:

@@ -18,9 +18,17 @@ LASSO_MAX_SWEEPS = 10_000
 BLAR_TOL = 1e-6
 
 
-def _linear_state(coef: np.ndarray, intercept: float,
+def _centred(X: np.ndarray, y: np.ndarray):
+    """(xm, ym, X - xm, y - ym): the column and target means, and the centred data."""
+    xm = X.mean(axis=0)
+    ym = y.mean()
+    return xm, ym, X - xm, y - ym
+
+
+def _linear_state(coef: np.ndarray, xm: np.ndarray, ym: float,
                   flags: tuple[str, ...] = ()) -> dict:
-    return {"coef": coef, "intercept": intercept,
+    """The fitted state; the intercept is recovered from the means."""
+    return {"coef": coef, "intercept": float(ym - xm @ coef),
             "importance": np.abs(coef), "flags": flags}
 
 
@@ -34,10 +42,7 @@ def fit_linear(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     A rank-deficient design falls back to a ridge solve with lambda = 1e-8
     and flags the model.
     """
-    xm = X.mean(axis=0)
-    ym = y.mean()
-    xc = X - xm
-    yc = y - ym
+    xm, ym, xc, yc = _centred(X, y)
     gram = xc.T @ xc
     rhs = xc.T @ yc
     flags: tuple[str, ...] = ()
@@ -49,19 +54,15 @@ def fit_linear(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     except np.linalg.LinAlgError:
         coef = np.linalg.solve(gram + 1e-8 * np.eye(gram.shape[0]), rhs)
         flags = ("singular_fallback",)
-    intercept = float(ym - xm @ coef)
-    return _linear_state(coef, intercept, flags)
+    return _linear_state(coef, xm, ym, flags)
 
 
 def fit_ridge(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """Ridge regression; the penalty excludes the intercept (centered solve)."""
     alpha = float(spec.hyperparameters["alpha"])
-    xm = X.mean(axis=0)
-    ym = y.mean()
-    xc = X - xm
-    coef = np.linalg.solve(xc.T @ xc + alpha * np.eye(X.shape[1]), xc.T @ (y - ym))
-    intercept = float(ym - xm @ coef)
-    return _linear_state(coef, intercept)
+    xm, ym, xc, yc = _centred(X, y)
+    coef = np.linalg.solve(xc.T @ xc + alpha * np.eye(X.shape[1]), xc.T @ yc)
+    return _linear_state(coef, xm, ym)
 
 
 def fit_lasso(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
@@ -73,10 +74,7 @@ def fit_lasso(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     """
     alpha = float(spec.hyperparameters["alpha"])
     n, p = X.shape
-    xm = X.mean(axis=0)
-    ym = y.mean()
-    xc = X - xm
-    yc = y - ym
+    xm, ym, xc, yc = _centred(X, y)
     col_sq = (xc ** 2).sum(axis=0) / n
     coef = np.zeros(p)
     residual = yc.copy()
@@ -97,8 +95,7 @@ def fit_lasso(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
             break
     else:
         flags = ("non_convergence",)
-    intercept = float(ym - xm @ coef)
-    return _linear_state(coef, intercept, flags)
+    return _linear_state(coef, xm, ym, flags)
 
 
 def fit_bayesian_ridge(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
@@ -109,10 +106,7 @@ def fit_bayesian_ridge(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dic
     """
     max_iter = int(spec.hyperparameters["max_iter"])
     n, p = X.shape
-    xm = X.mean(axis=0)
-    ym = y.mean()
-    xc = X - xm
-    yc = y - ym
+    xm, ym, xc, yc = _centred(X, y)
     y_var = yc.var()
     noise_prec = 1.0 / y_var if y_var > 0 else 1.0
     weight_prec = 1.0
@@ -137,5 +131,4 @@ def fit_bayesian_ridge(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dic
         coef = coef_new
     if not converged:
         flags = ("non_convergence",)
-    intercept = float(ym - xm @ coef)
-    return _linear_state(coef, intercept, flags)
+    return _linear_state(coef, xm, ym, flags)

@@ -127,15 +127,19 @@ class RegressionTree:
         return out
 
 
+def share(v: np.ndarray) -> np.ndarray:
+    """``v`` as shares of its sum; ``v`` itself when the sum is not positive."""
+    total = v.sum()
+    return v / total if total > 0 else v
+
+
 def fit_decision_tree(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> dict:
     max_depth = spec.hyperparameters["max_depth"]
     tree = RegressionTree(
         max_depth=None if max_depth is None else int(max_depth),
         min_samples_leaf=int(spec.hyperparameters["min_samples_leaf"]),
     ).fit(X, y)
-    total = tree.importances_.sum()
-    importance = tree.importances_ / total if total > 0 else tree.importances_
-    return {"tree": tree, "importance": importance}
+    return {"tree": tree, "importance": share(tree.importances_)}
 
 
 def predict_decision_tree(state: dict, X: np.ndarray) -> np.ndarray:

@@ -375,6 +375,12 @@ class TestCommands:
         assert float(row["cliffs_d"]) == expected.cliffs_d
 
 
+def _first_file(doc: dict) -> dict:
+    """The line counts of the first file of a change document's revision."""
+    (revision,) = doc["revisions"].values()
+    return next(iter(revision["files"].values()))
+
+
 class TestMalformedInput:
     def test_crawl_resume_names_the_corrupt_line(self, crawled_dir, capsys):
         tmp_path, config_path = crawled_dir
@@ -390,7 +396,12 @@ class TestMalformedInput:
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["messages"][0].update(_revision_number="1"),
         lambda doc: doc.update(created="yesterday"),
-    ], ids=["revision_number", "created"])
+        lambda doc: doc["messages"][0].pop("date"),
+        lambda doc: doc.pop("owner"),
+        lambda doc: doc["owner"].pop("_account_id"),
+        lambda doc: _first_file(doc).update(lines_inserted=-1),
+    ], ids=["revision_number", "created", "message-date", "owner",
+            "owner-account", "negative-lines"])
     def test_crawl_names_a_change_it_could_not_read_back(self, tmp_path, capsys, edit):
         corpus = generate_corpus(5, seed=1)
         edit(corpus[2])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reviewtime import evaluation
 from reviewtime.errors import (
     EmptyInputError,
     LengthMismatchError,
@@ -184,6 +185,27 @@ class TestOnlineValidation:
             rows = [r for r in result.records if r.iteration == iteration]
             assert len(rows) == 3
             assert len({(r.mae, r.mre, r.sa) for r in rows}) == 1
+
+    def test_deterministic_repeats_fit_once_and_copy_failures(self, monkeypatch):
+        # repeat 0 is fitted; repeats 1 and 2 copy its records, a failure too
+        real_fit = evaluation.fit
+        calls = []
+
+        def failing_fit(spec, X, y, names):
+            calls.append(len(y))
+            if len(calls) == 2:
+                raise RuntimeError("injected failure")
+            return real_fit(spec, X, y, names)
+
+        monkeypatch.setattr(evaluation, "fit", failing_fit)
+        config = PipelineConfig(Algorithm.DT, spec=RegressorSpec(Algorithm.DT),
+                                repeats=3)
+        result = run_online_validation(synthetic_matrix(n=60), config)
+        assert len(calls) == 5
+        assert [(r.repeat, r.iteration) for r in result.records] == \
+            [(repeat, iteration) for repeat in range(3) for iteration in range(1, 6)]
+        assert [(r.repeat, r.iteration, r.error) for r in result.records if r.failed] \
+            == [(repeat, 2, "RuntimeError: injected failure") for repeat in range(3)]
 
     def test_stochastic_algorithm_varies_across_repeats(self):
         data = synthetic_matrix(n=60, noise=10.0)

@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reviewtime import dataset as ds
+from reviewtime import gerrit
 from reviewtime.errors import (
     HttpError,
     MalformedJsonError,
@@ -316,14 +317,33 @@ class TestFetch:
         assert fixture_server.connection_count == 1
         assert sorted(durations)[6] < 0.020
 
-    def test_request_pacing(self, fixture_server):
+    def test_request_pacing(self, fixture_server, monkeypatch):
+        # a fake clock in place of the time module the client reads; the
+        # fixture server and requests keep the real one
+        class Clock:
+            def __init__(self):
+                self.now = 100.0
+                self.slept: list[float] = []
+
+            def monotonic(self):
+                return self.now
+
+            def sleep(self, seconds):
+                self.slept.append(seconds)
+                self.now += seconds
+
+        clock = Clock()
+        monkeypatch.setattr(gerrit, "time", clock)
         config = make_config(fixture_server.base_url, page_size=5,
                              min_request_interval_ms=40)
         client = GerritClient(config)
-        for offset in (0, 5, 10, 15):
+        # seconds of other work after each request: the second request waits
+        # out the rest of its interval, the third none, the fourth all of it
+        for offset, work in ((0, 0.015), (5, 0.050), (10, 0.0), (15, 0.0)):
             client.fetch_change_page(offset)
-        gaps = [b - a for a, b in zip(client.request_log, client.request_log[1:])]
-        assert all(gap >= 0.040 - 1e-6 for gap in gaps)
+            clock.now += work
+        client.close()
+        assert clock.slept == pytest.approx([0.025, 0.040])
 
 
 class TestCrawl:

@@ -1,7 +1,9 @@
-"""Every module of the package is reached from the program's entry points."""
+"""Every module of the package is reached from the program's entry points,
+and every top-level function and class is named by the program."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 import reviewtime
 
 PACKAGE = Path(reviewtime.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 # the CLI, the scripts and bench/ enter the program through these modules
 ENTRY_POINTS = ("reviewtime.cli", "reviewtime.gerrit_fixture")
 
@@ -58,3 +61,33 @@ def test_statistics_run_without_scipy():
             "print(len(compare_pairwise(samples)))\n"
             "print(scott_knott_esd(samples).clusters)\n")
     assert _run_fresh(code).splitlines() == ["3", "(('B',), ('C', 'A'))"]
+
+
+# definitions that nothing in the program names, each with the reason it stays
+UNREFERENCED_ALLOWED = {"extract_all": "criterion 9's reference"}
+
+
+def test_every_top_level_definition_is_named_by_the_program():
+    # the program is src/, scripts/ and bench/ without their tests; a name
+    # counts where code reads it, as a name, an attribute or an import
+    defined = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = f"{path.relative_to(REPO)}:{node.lineno}"
+    named = set()
+    for path in sorted(p for top in ("src", "scripts", "bench")
+                       for p in (REPO / top).rglob("*.py")):
+        if "tests" in path.relative_to(REPO).parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.rpartition(".")[2])
+    unnamed = {name: where for name, where in defined.items()
+               if name not in named and name not in UNREFERENCED_ALLOWED}
+    assert unnamed == {}
+    assert set(UNREFERENCED_ALLOWED) <= defined.keys() - named

@@ -346,6 +346,55 @@ class TestEnsembles:
         mae_boost = np.mean(np.abs(boosted.predict(X) - y))
         assert mae_boost <= mae_single + 1e-9
 
+    def test_adaboost_single_round_predicts_its_tree(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(60, 3))
+        y = 20 * X[:, 0] + rng.normal(0, 1, 60)  # negative targets: clipping shows
+        model = fit(RegressorSpec(Algorithm.AdaDT, {"rounds": 1}, seed=4), X, y)
+        Q = rng.normal(size=(25, 3))
+        (tree,) = model.state["trees"]
+        assert np.array_equal(model.predict(Q), np.maximum(tree.predict(Q), 0.0))
+
+    @pytest.mark.parametrize("target", ["signal", "constant"])
+    @pytest.mark.parametrize("algorithm", [Algorithm.DT, Algorithm.RF,
+                                           Algorithm.AdaDT, Algorithm.GB])
+    def test_importance_is_the_share_of_split_gains(self, algorithm, target):
+        # a share is v / v.sum(), or v itself when nothing was gained
+        def share(v):
+            total = v.sum()
+            return v / total if total > 0 else v
+
+        rng = np.random.default_rng(10)
+        X = rng.uniform(size=(80, 5))
+        X[:, 3] = 1.0  # a constant column never splits
+        y = 30 * X[:, 0] + 10 * X[:, 1] + rng.normal(0, 1, 80) \
+            if target == "signal" else np.full(80, 7.0)
+        hyper = {Algorithm.RF: {"n_trees": 8}, Algorithm.AdaDT: {"rounds": 8},
+                 Algorithm.GB: {"rounds": 8}}.get(algorithm, {})
+        model = fit(RegressorSpec(algorithm, hyper, seed=5), X, y)
+        state = model.state
+        if algorithm is Algorithm.DT:
+            expected = share(state["tree"].importances_)
+        elif algorithm is Algorithm.RF:
+            summed = np.zeros(5)
+            for tree in state["trees"]:
+                summed += share(tree.importances_)
+            expected = share(summed)
+        elif algorithm is Algorithm.AdaDT:
+            summed = np.zeros(5)
+            for tree, w in zip(state["trees"], state["weights"]):
+                total = tree.importances_.sum()
+                if total > 0 and w > 0:
+                    summed += w * tree.importances_ / total
+            expected = share(summed)
+        else:
+            summed = np.zeros(5)
+            for tree in state["trees"]:
+                summed += tree.importances_
+            expected = share(summed)
+        assert np.array_equal(model.importance, expected)
+        assert model.importance[3] == 0.0
+
 
 class TestMLP:
     def test_gradient_check(self):
