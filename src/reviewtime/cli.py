@@ -115,10 +115,15 @@ def cmd_evaluate(config: RunConfig, args) -> None:
 
 def cmd_compare(config: RunConfig, args) -> None:
     out = config.out_dir
-    keyed = {}
+    keyed, paths = {}, {}
     for path in args.results:
+        name = Path(path).stem.removeprefix("eval_")
+        if name in paths:
+            raise ReviewTimeError(f"two result files are named {name!r}: "
+                                  f"{paths[name]} and {path}")
+        paths[name] = path
         result = EvalResult.from_csv(path)
-        keyed[Path(path).stem.removeprefix("eval_")] = {
+        keyed[name] = {
             (r.repeat, r.iteration): r.mae for r in result.records if not r.failed}
     if len(keyed) < 2:
         raise ReviewTimeError("compare needs at least two result files")

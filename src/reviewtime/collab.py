@@ -3,7 +3,8 @@
 The graph is undirected: one edge (owner, participant) per distinct non-owner,
 non-bot message author on each prior in-window change, with the weight counting
 how many changes the pair interacted on.  All centralities are computed on the
-unweighted simple graph.
+unweighted simple graph.  Each metric takes a node of the graph:
+:func:`collab_features` alone scores an owner absent from the graph 0.
 """
 
 from __future__ import annotations
@@ -33,17 +34,6 @@ class InteractionGraph:
     nodes: frozenset[int]
     edges: dict[tuple[int, int], int]  # key is the sorted node pair
 
-    def __post_init__(self):
-        for (u, v), w in self.edges.items():
-            if u == v:
-                raise ValueError("self-loops are not allowed")
-            if u > v:
-                raise ValueError("edge keys must be sorted pairs")
-            if w < 1:
-                raise ValueError("edge weights must be >= 1")
-            if u not in self.nodes or v not in self.nodes:
-                raise ValueError("edge endpoint missing from node set")
-
     @cached_property
     def adjacency(self) -> dict[int, set[int]]:
         """Neighbour sets, built once per graph; callers must not mutate them."""
@@ -67,6 +57,12 @@ class CollabFeatures:
 def build_graph(history: Sequence[ChangeRecord], as_of: datetime,
                 window_days: int = DEFAULT_WINDOW_DAYS) -> InteractionGraph:
     """Accumulate owner-participant interactions over the window before as_of.
+
+    The graph holds by construction what the metrics assume:
+    - the edge keys are ``interaction_pairs``: sorted pairs of an owner and a
+      participant, who is never the owner, so there are no self-loops;
+    - the weights are ``Counter`` counts, so each is at least 1;
+    - the nodes are the endpoints of the keys.
 
     Each in-window change counts its ``interaction_pairs`` into the weights,
     whose keys keep the order of each pair's first occurrence.  Nodes are
@@ -96,13 +92,8 @@ def _bfs_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:
 
 
 def degree_centrality(graph: InteractionGraph, v: int) -> float:
-    if v not in graph.nodes:
-        return 0.0
     n = len(graph.nodes)
-    if n <= 1:
-        return 0.0
-    adj = graph.adjacency
-    return len(adj[v]) / (n - 1)
+    return len(graph.adjacency[v]) / (n - 1) if n > 1 else 0.0
 
 
 def closeness_centrality(graph: InteractionGraph, v: int) -> float:
@@ -112,25 +103,20 @@ def closeness_centrality(graph: InteractionGraph, v: int) -> float:
     the value is scaled by (|C|-1)/(n-1) so disconnected graphs stay
     comparable.  Isolated vertices score 0.
     """
-    if v not in graph.nodes:
-        return 0.0
-    n = len(graph.nodes)
-    if n <= 1:
-        return 0.0
-    adj = graph.adjacency
-    dist = _bfs_distances(adj, v)
+    dist = _bfs_distances(graph.adjacency, v)
     total = sum(dist.values())
     if total == 0:
         return 0.0
     reachable = len(dist) - 1
-    return (reachable / total) * (reachable / (n - 1))
+    return (reachable / total) * (reachable / (len(graph.nodes) - 1))
 
 
 def betweenness_centrality(graph: InteractionGraph, v: int) -> float:
     """Normalized shortest-path betweenness (Brandes accumulation).
 
     Pair dependencies are summed over ordered pairs (s, t) with s, t != v
-    and divided by (n-1)(n-2); zero for n < 3.
+    and divided by (n-1)(n-2); zero when v has fewer than two neighbours,
+    which covers every n < 3.
 
     Only v's dependency is needed, so each source's search marks v's
     descendants in its shortest-path DAG, stops once every marked vertex is
@@ -142,11 +128,9 @@ def betweenness_centrality(graph: InteractionGraph, v: int) -> float:
     discovery order of w.  Path counts are exact integers, so their
     summation order is free.
     """
-    if v not in graph.nodes:
+    if len(graph.adjacency[v]) < 2:
         return 0.0
     n = len(graph.nodes)
-    if n < 3 or len(graph.adjacency[v]) < 2:
-        return 0.0
     index = {u: i for i, u in enumerate(graph.nodes)}
     neighbours = [[index[w] for w in graph.adjacency[u]] for u in graph.nodes]
     target = index[v]
@@ -206,8 +190,6 @@ def eigenvector_centrality(graph: InteractionGraph, v: int) -> float:
     owner's component, so the last solve is kept and reused; a failed solve
     raises and is not kept.
     """
-    if v not in graph.nodes:
-        return 0.0
     adj = graph.adjacency
     if not adj[v]:
         return 0.0
@@ -249,8 +231,6 @@ def _component_eigenvector(component: tuple[int, ...],
 
 
 def clustering_coefficient(graph: InteractionGraph, v: int) -> float:
-    if v not in graph.nodes:
-        return 0.0
     adj = graph.adjacency
     neighbors = adj[v]
     k = len(neighbors)
@@ -265,10 +245,7 @@ def clustering_coefficient(graph: InteractionGraph, v: int) -> float:
 
 def core_number(graph: InteractionGraph, v: int) -> int:
     """Largest k such that v survives iterative removal of degree < k vertices."""
-    if v not in graph.nodes:
-        return 0
-    cores = core_numbers(graph)
-    return cores[v]
+    return core_numbers(graph)[v]
 
 
 def core_numbers(graph: InteractionGraph) -> dict[int, int]:

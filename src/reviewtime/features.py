@@ -23,82 +23,68 @@ from .dataset import (completion_time_hours, parse_timestamp, read_table,
 from .errors import EmptyInputError, SchemaError
 from .gerrit import ChangeRecord, ChangeStatus, check_field_types
 
-DIMENSIONS = ("date", "collaboration", "code", "text", "owner", "file_history")
-
 _QUAD = ("min", "max", "avg", "std")
 
-FEATURE_DIMENSIONS: dict[str, str] = {}
-
-
-def _register(dimension: str, *names: str) -> tuple[str, ...]:
-    for name in names:
-        FEATURE_DIMENSIONS[name] = dimension
-    return names
-
-DATE_FEATURES = _register(
-    "date",
-    "days_of_the_weeks_of_date_created",
-    "is_created_date_a_weekend",
-    "author_timezone",
-)
-COLLABORATION_FEATURES = _register(
-    "collaboration",
-    "degree_centrality",
-    "closeness_centrality",
-    "betweenness_centrality",
-    "eigenvector_centrality",
-    "clustering_coefficient",
-    "core_number",
-)
-CODE_FEATURES = _register(
-    "code",
-    "#lines_added",
-    "#lines_deleted",
-    "Code_churn",
-    "#files",
-    "#files_type",
-    "#directory",
-    "#segs_added",
-    "#segs_deleted",
-    "#segs_modify",
-    "change_entropy",
-)
-TEXT_FEATURES = _register(
-    "text",
-    "subject_length",
-    "subject_word_count",
-    "msg_length",
-    "msg_word_count",
-    "is_non_fonctional",
-    "is_perfective",
-    "is_refactoring",
-)
-OWNER_FEATURES = _register(
-    "owner",
-    "#owner_prior_changes",
-    "#prior_merged_changes",
-    "#prior_abandoned_changes",
-    "merge_ratio",
-    "#prior_subsystem_changes",
-    *(f"prior_code_reviews_duration_{s}" for s in _QUAD),
-    "#prior_owner_subsystem_changes",
-    "prior_owner_subsystem_changes_ratio",
-    "#reviewed_changes_owner",
-    "#owner_previous_message",
-    "#owner_exchanged_messages",
-    *(f"#owner_messages_avg_per_changes_{s}" for s in _QUAD),
-)
-FILE_HISTORY_FEATURES = _register(
-    "file_history",
-    *(f"files_changes_duration_{s}" for s in _QUAD),
-    "#developers_file",
-    "#prior_changes_files",
-)
-
-FEATURE_NAMES: tuple[str, ...] = (
-    DATE_FEATURES + COLLABORATION_FEATURES + CODE_FEATURES
-    + TEXT_FEATURES + OWNER_FEATURES + FILE_HISTORY_FEATURES
-)
+# The one feature table: each dimension's names, in canonical order.
+FEATURES: dict[str, tuple[str, ...]] = {
+    "date": (
+        "days_of_the_weeks_of_date_created",
+        "is_created_date_a_weekend",
+        "author_timezone",
+    ),
+    "collaboration": (
+        "degree_centrality",
+        "closeness_centrality",
+        "betweenness_centrality",
+        "eigenvector_centrality",
+        "clustering_coefficient",
+        "core_number",
+    ),
+    "code": (
+        "#lines_added",
+        "#lines_deleted",
+        "Code_churn",
+        "#files",
+        "#files_type",
+        "#directory",
+        "#segs_added",
+        "#segs_deleted",
+        "#segs_modify",
+        "change_entropy",
+    ),
+    "text": (
+        "subject_length",
+        "subject_word_count",
+        "msg_length",
+        "msg_word_count",
+        "is_non_fonctional",
+        "is_perfective",
+        "is_refactoring",
+    ),
+    "owner": (
+        "#owner_prior_changes",
+        "#prior_merged_changes",
+        "#prior_abandoned_changes",
+        "merge_ratio",
+        "#prior_subsystem_changes",
+        *(f"prior_code_reviews_duration_{s}" for s in _QUAD),
+        "#prior_owner_subsystem_changes",
+        "prior_owner_subsystem_changes_ratio",
+        "#reviewed_changes_owner",
+        "#owner_previous_message",
+        "#owner_exchanged_messages",
+        *(f"#owner_messages_avg_per_changes_{s}" for s in _QUAD),
+    ),
+    "file_history": (
+        *(f"files_changes_duration_{s}" for s in _QUAD),
+        "#developers_file",
+        "#prior_changes_files",
+    ),
+}
+DIMENSIONS = tuple(FEATURES)
+FEATURE_DIMENSIONS: dict[str, str] = {
+    name: dim for dim, names in FEATURES.items() for name in names}
+FEATURE_NAMES: tuple[str, ...] = tuple(FEATURE_DIMENSIONS)
 assert len(FEATURE_NAMES) == 50
 
 DEFAULT_REFACTORING_KEYWORDS = (
@@ -133,14 +119,13 @@ class KeywordPolicy:
 
 @dataclass(frozen=True)
 class FeatureVector:
+    """One change's values, keyed by ``FEATURE_NAMES`` in order."""
     change_number: int
     created_at: datetime
     target_hours: float
     values: dict[str, float]
 
     def __post_init__(self):
-        if tuple(self.values.keys()) != FEATURE_NAMES:
-            raise ValueError("feature values must carry the 50 canonical names in order")
         for name, value in self.values.items():
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value for feature {name}")
@@ -197,9 +182,9 @@ _CSV_HEAD = ("change_number", "created_at", "target_hours")
 
 
 def dimension_features(dimension: str) -> tuple[str, ...]:
-    if dimension not in DIMENSIONS:
+    if dimension not in FEATURES:
         raise KeyError(f"unknown dimension {dimension!r}")
-    return tuple(n for n in FEATURE_NAMES if FEATURE_DIMENSIONS[n] == dimension)
+    return FEATURES[dimension]
 
 
 def _quadruple(values: Sequence[float]) -> tuple[float, float, float, float]:
@@ -395,7 +380,7 @@ def extract_owner_experience(record: ChangeRecord,
         values[f"prior_code_reviews_duration_{suffix}"] = value
     for suffix, value in zip(_QUAD, msg_quad):
         values[f"#owner_messages_avg_per_changes_{suffix}"] = value
-    return {name: values[name] for name in OWNER_FEATURES}
+    return values
 
 
 def extract_file_history(record: ChangeRecord,
@@ -412,7 +397,7 @@ def extract_file_history(record: ChangeRecord,
     values = {f"files_changes_duration_{s}": v for s, v in zip(_QUAD, quad)}
     values["#developers_file"] = float(len({prior.owners[p] for p in overlapping}))
     values["#prior_changes_files"] = float(len(overlapping))
-    return {name: values[name] for name in FILE_HISTORY_FEATURES}
+    return values
 
 
 def extract_all(record: ChangeRecord, history: Sequence[ChangeRecord],
@@ -430,6 +415,7 @@ def extract_all(record: ChangeRecord, history: Sequence[ChangeRecord],
 
 def _assemble(record: ChangeRecord, graph: collab.InteractionGraph,
               prior: PriorHistory, policy: KeywordPolicy) -> FeatureVector:
+    """The one place that puts the 50 values in ``FEATURE_NAMES`` order."""
     values: dict[str, float] = {}
     values.update(extract_date_features(record))
     values.update(asdict(collab.collab_features(graph, record.owner_id)))

@@ -425,17 +425,18 @@ def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
     Here, and only here, a message is marked ``from_bot``: when it has no
     author account, as the messages Gerrit's server writes itself, or when
     its author's name holds one of ``config.bot_accounts``.  The record, its
-    files and its messages pass :func:`check_field_types`, so a crawl writes
-    only what :func:`dataset.read_dataset` reads back.  A missing key, or a
+    files and its messages pass :func:`check_field_types` with the
+    document's values as they are, never coerced, so a crawl writes only
+    what :func:`dataset.read_dataset` reads back.  A missing key, or a
     value of the wrong type or shape, is a SchemaError naming the change.
     """
     doc = raw.data
     try:
-        number = int(doc["_number"])
+        number = doc["_number"]
         status = ChangeStatus(doc["status"])
         created_at = parse_gerrit_timestamp(doc["created"])
         owner = doc["owner"]
-        owner_id = int(owner["_account_id"])
+        owner_id = owner["_account_id"]
         owner_name = owner.get("name", "")
         subject = doc.get("subject", "")
 
@@ -457,7 +458,7 @@ def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
             commit = revision.get("commit") or {}
             author = commit.get("author") or {}
             if "tz" in author:
-                tz_offset = int(author["tz"])
+                tz_offset = author["tz"]
                 tz_missing = False
             message_body = commit.get("message", "")
             file_diffs = doc.get("_file_diffs") or {}
@@ -468,19 +469,19 @@ def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
                 segments = None
                 if path in file_diffs:
                     segments = parse_diff_segments(file_diffs[path])
-                files.append(FileDiff(
-                    path=path,
-                    lines_inserted=int(info.get("lines_inserted", 0)),
-                    lines_deleted=int(info.get("lines_deleted", 0)),
-                    segments=segments,
-                ))
+                values = {"path": path, "segments": segments,
+                          "lines_inserted": info.get("lines_inserted", 0),
+                          "lines_deleted": info.get("lines_deleted", 0)}
+                # typed before FileDiff compares the counts with 0
+                check_field_types(FileDiff, values)
+                files.append(FileDiff(**values))
 
         messages: list[ReviewMessage] = []
         for msg in doc.get("messages", []):
             author = msg.get("author") or {}
             name = author.get("name", "")
             messages.append(ReviewMessage(
-                author_id=int(author.get("_account_id", -1)),
+                author_id=author.get("_account_id", -1),
                 author_name=name,
                 posted_at=parse_gerrit_timestamp(msg["date"]),
                 text=msg.get("message", ""),
@@ -511,7 +512,7 @@ def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
             deletions_total=sum(f.lines_deleted for f in files),
             tz_offset_missing=tz_missing,
         )
-        for value in (record, *record.files, *record.messages):
+        for value in (record, *record.messages):
             check_field_types(type(value), vars(value))
     except KeyError as exc:
         raise SchemaError(f"change {doc['_number']}: missing key {exc}") from exc

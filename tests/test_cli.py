@@ -17,6 +17,7 @@ from reviewtime.cli import build_parser, main
 from reviewtime.config import load_run_config
 from reviewtime.errors import ConfigError
 from reviewtime.evaluation import EvalRecord, EvalResult
+from reviewtime.features import DIMENSIONS
 from reviewtime.gerrit_fixture import FixtureGerritServer, generate_corpus
 from reviewtime.stats import compare_pairwise
 
@@ -298,6 +299,24 @@ class TestCommands:
             else:
                 assert payloads == first
 
+    def test_ablate_compares_all_with_each_dimension(self, crawled_dir):
+        tmp_path, config_path = crawled_dir
+        out = tmp_path / "out"
+        assert main(["filter", "--config", str(config_path),
+                     "--in", str(out / "changes.jsonl"), "--out", str(out)]) == 0
+        assert main(["featurize", "--config", str(config_path),
+                     "--in", str(out / "filtered.jsonl"),
+                     "--history", str(out / "changes.jsonl"),
+                     "--out", str(out)]) == 0
+        assert main(["ablate", "--config", str(config_path),
+                     "--features", str(out / "features.csv"),
+                     "--out", str(out)]) == 0
+        for mode in ("all", *DIMENSIONS):
+            assert (out / f"ablation_{mode}.csv").exists(), mode
+        with (out / "ablation_comparisons.csv").open() as fh:
+            pairs = [(row["left"], row["right"]) for row in csv.DictReader(fh)]
+        assert pairs == [("all", dim) for dim in DIMENSIONS]
+
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         config_path = write_config(tmp_path / "c.json")
         code = main(["filter", "--config", str(config_path),
@@ -381,6 +400,12 @@ def _first_file(doc: dict) -> dict:
     return next(iter(revision["files"].values()))
 
 
+def _first_commit_author(doc: dict) -> dict:
+    """The commit author of a change document's revision."""
+    (revision,) = doc["revisions"].values()
+    return revision["commit"]["author"]
+
+
 class TestMalformedInput:
     def test_crawl_resume_names_the_corrupt_line(self, crawled_dir, capsys):
         tmp_path, config_path = crawled_dir
@@ -400,8 +425,13 @@ class TestMalformedInput:
         lambda doc: doc.pop("owner"),
         lambda doc: doc["owner"].pop("_account_id"),
         lambda doc: _first_file(doc).update(lines_inserted=-1),
+        lambda doc: doc["owner"].update(_account_id=111.9),
+        lambda doc: doc["messages"][0]["author"].update(_account_id="112"),
+        lambda doc: _first_file(doc).update(lines_inserted="7"),
+        lambda doc: _first_commit_author(doc).update(tz=60.7),
     ], ids=["revision_number", "created", "message-date", "owner",
-            "owner-account", "negative-lines"])
+            "owner-account", "negative-lines", "float-owner-account",
+            "string-author-account", "string-lines", "float-tz"])
     def test_crawl_names_a_change_it_could_not_read_back(self, tmp_path, capsys, edit):
         corpus = generate_corpus(5, seed=1)
         edit(corpus[2])
@@ -451,6 +481,9 @@ class TestMalformedInput:
         ("files", 3),
         ("owner_id", "100"),
         ("reviewers", [101]),
+        ("closed_at", None),
+        ("status", "NEW"),
+        ("closed_at", "2000-01-01T00:00:00.000000Z"),
     ])
     def test_filter_names_the_malformed_line(self, tmp_path, capsys, field, value):
         path = tmp_path / "in.jsonl"
@@ -556,6 +589,21 @@ class TestMalformedInput:
                      str(tmp_path / "eval_LR.csv"), str(tmp_path / "eval_GB.csv")]) == 1
         err = capsys.readouterr().err
         assert "no (repeat, iteration) is scored in every result file" in err
+
+    def test_compare_rejects_a_repeated_result_name(self, tmp_path, capsys):
+        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5, (0, 20), (20, 25))
+                   for i in range(5)]
+        paths = [tmp_path / "a" / "eval_GB.csv", tmp_path / "b" / "eval_GB.csv",
+                 tmp_path / "a" / "eval_LR.csv"]
+        for path in paths:
+            path.parent.mkdir(exist_ok=True)
+            EvalResult(path.stem.removeprefix("eval_"), records).to_csv(path)
+        out = tmp_path / "out"
+        config_path = write_config(tmp_path / "c.json", out_dir=str(out))
+        assert main(["compare", "--config", str(config_path), *map(str, paths)]) == 1
+        err = capsys.readouterr().err
+        assert "'GB'" in err and str(paths[0]) in err and str(paths[1]) in err
+        assert not (out / "comparisons.csv").exists()
 
     @pytest.mark.parametrize("text", ['{"KNN": {"mae": ', '{"KNN": {"sa": {}}}'],
                              ids=["not-json", "no-mae"])
