@@ -77,10 +77,6 @@ class NonFinitePredictionError(ReviewTimeError):
 
 # --- stats ---
 
-class AllZeroDifferencesError(ReviewTimeError):
-    pass
-
-
 class TooFewPairsError(ReviewTimeError):
     pass
 

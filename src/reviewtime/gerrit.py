@@ -233,10 +233,8 @@ class ChangeRecord:
                      for p in self.participants)
 
 
-def parse_gerrit_json(body: bytes | str) -> Any:
+def parse_gerrit_json(body: bytes) -> Any:
     """Parse a Gerrit REST response, stripping the XSSI guard when present."""
-    if isinstance(body, str):
-        body = body.encode("utf-8")
     if body.startswith(XSSI_GUARD):
         body = body[len(XSSI_GUARD):]
         if body.startswith(b"\n"):

@@ -1,7 +1,7 @@
 """Feature normalization and selection, fitted exclusively on training rows.
 
 Inner validation for selection, as for hyperparameter grids, is
-``regressors.holdout_mae``: a chronological last-20% holdout of the training
+``regressors.holdout_fit``: a chronological last-20% holdout of the training
 data.  Rows are assumed sorted by creation time, so random splits would leak
 future information.
 """
@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyTrainingSetError, UnsupportedEstimatorError
-from .regressors import chronological_split, fit, holdout_mae, supports_importance
+from .regressors import holdout_fit, supports_importance
 
 MIN_RELATIVE_IMPROVEMENT = 0.1  # forward selection's stopping margin
 
@@ -87,17 +87,13 @@ def rfe_select(estimator_spec, X: np.ndarray, y: np.ndarray,
     current = list(range(len(names)))
     steps: list[tuple[int, float]] = []
     best_sets: dict[int, list[int]] = {}
-    fit_part, _ = chronological_split(X.shape[0])
     while current:
-        cols = np.array(current)
-        steps.append((len(current), holdout_mae(estimator_spec, X[:, cols], y)))
+        model, mae = holdout_fit(estimator_spec, X[:, np.array(current)], y)
+        steps.append((len(current), mae))
         best_sets[len(current)] = list(current)
         if len(current) == 1:
             break
-        model = fit(estimator_spec, X[fit_part][:, cols], y[fit_part])
-        importance = model.importance
-        weakest = int(np.argmin(importance))
-        current.pop(weakest)
+        current.pop(int(np.argmin(model.importance)))
     best_n, _ = min(steps, key=lambda s: (s[1], s[0]))
     selected = tuple(names[i] for i in best_sets[best_n])
     return SelectionResult(selected=selected, scores=tuple(steps))
@@ -124,7 +120,7 @@ def sequential_forward_select(estimator_spec, X: np.ndarray, y: np.ndarray,
         candidate_scores = []
         for j in remaining:
             cols = np.array(chosen + [j])
-            candidate_scores.append((holdout_mae(estimator_spec, X[:, cols], y), j))
+            candidate_scores.append((holdout_fit(estimator_spec, X[:, cols], y)[1], j))
         mae, j = min(candidate_scores, key=lambda s: (s[0], s[1]))
         if np.isfinite(best_mae) and mae >= best_mae * (1.0 - MIN_RELATIVE_IMPROVEMENT):
             break

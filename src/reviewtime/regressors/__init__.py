@@ -11,7 +11,7 @@ from .base import (
     chronological_split,
     fit,
     grid_search,
-    holdout_mae,
+    holdout_fit,
     is_deterministic,
     supports_importance,
 )
@@ -27,7 +27,7 @@ __all__ = [
     "chronological_split",
     "fit",
     "grid_search",
-    "holdout_mae",
+    "holdout_fit",
     "is_deterministic",
     "supports_importance",
 ]

@@ -19,6 +19,7 @@ from ..errors import (
     AllPointsFailedError,
     EmptyTrainingSetError,
     FeatureMismatchError,
+    NonFinitePredictionError,
 )
 from . import ensemble, linear, mlp, neighbors, tree
 
@@ -140,8 +141,6 @@ class HyperGrid:
                 _check_hyperparameter(self.algorithm, name, value)
 
     def points(self) -> list[dict]:
-        if not self.values:
-            return [{}]
         names = list(self.values)
         combos = itertools.product(*(self.values[n] for n in names))
         return [dict(zip(names, combo)) for combo in combos]
@@ -176,7 +175,13 @@ class TrainedModel:
             )
         pred = np.asarray(LEARNERS[self.spec.algorithm].predict(self.state, X),
                           dtype=float)
-        return np.maximum(pred, 0.0)
+        pred = np.maximum(pred, 0.0)
+        # a NaN would pass through the metrics and comparisons as a result
+        bad = int(np.count_nonzero(~np.isfinite(pred)))
+        if bad:
+            raise NonFinitePredictionError(f"{bad} of {pred.size} predictions "
+                                           "are not finite")
+        return pred
 
 
 def supports_importance(algorithm: Algorithm) -> bool:
@@ -215,12 +220,13 @@ def chronological_split(n: int) -> tuple[slice, slice]:
     return slice(0, n - holdout), slice(n - holdout, n)
 
 
-def holdout_mae(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> float:
-    """MAE of ``spec`` fitted on the leading rows and scored on the holdout."""
+def holdout_fit(spec: RegressorSpec, X: np.ndarray,
+                y: np.ndarray) -> tuple[TrainedModel, float]:
+    """``spec`` fitted on the leading rows, and its MAE on the holdout."""
     fit_part, val_part = chronological_split(X.shape[0])
     model = fit(spec, X[fit_part], y[fit_part])
     pred = model.predict(X[val_part])
-    return float(np.mean(np.abs(pred - y[val_part])))
+    return model, float(np.mean(np.abs(pred - y[val_part])))
 
 
 def grid_search(algorithm: Algorithm, grid: HyperGrid, X: np.ndarray,
@@ -229,7 +235,8 @@ def grid_search(algorithm: Algorithm, grid: HyperGrid, X: np.ndarray,
 
     Rows are assumed chronologically sorted; each point fits on the leading
     80% and scores on the trailing 20%.  Ties keep the first point in grid
-    iteration order; points whose fit raises are skipped.
+    iteration order; points whose fit raises, or whose predictions are not
+    finite, are skipped.
     """
     algorithm = Algorithm(algorithm)
     if grid.algorithm is not algorithm:
@@ -245,7 +252,7 @@ def grid_search(algorithm: Algorithm, grid: HyperGrid, X: np.ndarray,
     for order, params in enumerate(grid.points()):
         spec = RegressorSpec(algorithm, params, seed)
         try:
-            mae = holdout_mae(spec, X, y)
+            _, mae = holdout_fit(spec, X, y)
         except Exception as exc:  # noqa: BLE001 - per-point failures are skipped
             failures.append(f"{params}: {exc}")
             continue

@@ -12,7 +12,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    AllZeroDifferencesError,
     EmptyInputError,
     TooFewGroupsError,
     TooFewObservationsError,
@@ -154,7 +153,8 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> tuple[float,
 
     Uses the exact sign-assignment distribution up to n = 25 non-zero
     differences, and the tie-corrected normal approximation with continuity
-    correction beyond.
+    correction beyond.  With no non-zero difference, or one, the exact
+    distribution gives (0.0, 1.0).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -162,10 +162,6 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> tuple[float,
         raise TooFewPairsError("paired samples must have equal length")
     diffs = a - b
     diffs = diffs[diffs != 0]
-    if diffs.size == 0:
-        raise AllZeroDifferencesError("all paired differences are zero")
-    if diffs.size < 2:
-        raise TooFewPairsError("need at least 2 non-zero differences")
     n = diffs.size
     ranks = rankdata(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
@@ -249,19 +245,16 @@ def _scott_knott_partition(groups: list[tuple[str, np.ndarray]]) -> list[list[tu
         if b0 > best_b:
             best_b = b0
             best_cut = cut
-
-    n_total = sizes.sum()
-    within_ss = float(np.sum((all_obs - np.repeat(means, sizes.astype(int))) ** 2))
-    df_error = n_total - k
-    mse = within_ss / df_error if df_error > 0 else 0.0
-    mean_rep = float(sizes.mean())
-    s2_nu = mse / mean_rep
-    between_means_ss = float(np.sum(sizes * (means - grand_mean) ** 2) / mean_rep)
-    sigma2 = (between_means_ss + df_error * s2_nu) / (k + df_error) \
-        if (k + df_error) > 0 else 0.0
-
     if best_b <= 0.0:
         return [groups]
+
+    within_ss = float(np.sum((all_obs - np.repeat(means, sizes.astype(int))) ** 2))
+    df_error = sizes.sum() - k  # > 0: every group holds at least 3 observations
+    mean_rep = float(sizes.mean())
+    s2_nu = within_ss / df_error / mean_rep
+    between_means_ss = float(np.sum(sizes * (means - grand_mean) ** 2) / mean_rep)
+    sigma2 = (between_means_ss + df_error * s2_nu) / (k + df_error)
+
     if sigma2 <= 0.0:
         significant = True  # zero variance estimate with positive separation
     else:
@@ -278,7 +271,7 @@ def _scott_knott_partition(groups: list[tuple[str, np.ndarray]]) -> list[list[tu
 def _merge_negligible(clusters: list[list[tuple[str, np.ndarray]]]) -> list[list[tuple[str, np.ndarray]]]:
     """Merge adjacent clusters whose pooled Cohen's |d| is negligible."""
     merged = True
-    while merged and len(clusters) > 1:
+    while merged:
         merged = False
         for i in range(len(clusters) - 1):
             left = np.concatenate([obs for _, obs in clusters[i]])
@@ -316,11 +309,7 @@ def scott_knott_esd(groups: Mapping[str, Sequence[float]]) -> EsdRanking:
         transformed.append((name, np.log1p(arr)))
 
     transformed.sort(key=lambda item: (-item[1].mean(), item[0]))
-    if len(transformed) == 1:
-        clusters = [transformed]
-    else:
-        clusters = _scott_knott_partition(transformed)
-        clusters = _merge_negligible(clusters)
+    clusters = _merge_negligible(_scott_knott_partition(transformed))
     return EsdRanking(
         clusters=tuple(tuple(name for name, _ in cluster) for cluster in clusters))
 
@@ -328,28 +317,16 @@ def scott_knott_esd(groups: Mapping[str, Sequence[float]]) -> EsdRanking:
 def compare_pairwise(samples: Mapping[str, Sequence[float]],
                      m: int | None = None) -> list[ComparisonResult]:
     """All-pairs Wilcoxon + Bonferroni + Cliff's delta over paired samples."""
-    names = list(samples)
-    pairs = [(names[i], names[j])
-             for i in range(len(names)) for j in range(i + 1, len(names))]
-    if m is None:
-        m = len(pairs)
-    results = []
-    p_values = []
-    stats_raw = []
-    for left, right in pairs:
+    rows = []
+    for left, right in itertools.combinations(samples, 2):
         a = np.asarray(samples[left], dtype=float)
         b = np.asarray(samples[right], dtype=float)
-        try:
-            w, p = wilcoxon_signed_rank(a, b)
-        except AllZeroDifferencesError:
-            w, p = 0.0, 1.0
+        w, p = wilcoxon_signed_rank(a, b)
         d, magnitude = cliffs_delta(a, b)
-        stats_raw.append((left, right, w, d, magnitude))
-        p_values.append(p)
-    adjusted = bonferroni(p_values, m)
-    for (left, right, w, d, magnitude), p, p_adj in zip(stats_raw, p_values, adjusted):
-        results.append(ComparisonResult(
-            left=left, right=right, w_statistic=w, p_value=p, p_adjusted=p_adj,
-            significant=p_adj < SIGNIFICANCE_ALPHA, cliffs_d=d, magnitude=magnitude,
-        ))
-    return results
+        rows.append((left, right, w, p, d, magnitude))
+    adjusted = bonferroni([p for _, _, _, p, _, _ in rows],
+                          len(rows) if m is None else m)
+    return [ComparisonResult(left=left, right=right, w_statistic=w, p_value=p,
+                             p_adjusted=p_adj, significant=p_adj < SIGNIFICANCE_ALPHA,
+                             cliffs_d=d, magnitude=magnitude)
+            for (left, right, w, p, d, magnitude), p_adj in zip(rows, adjusted)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import socket
 import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -392,6 +393,56 @@ class TestCommands:
         assert float(row["w"]) == expected.w_statistic
         assert float(row["p_value"]) == expected.p_value
         assert float(row["cliffs_d"]) == expected.cliffs_d
+
+    def test_compare_with_one_non_zero_difference(self, tmp_path):
+        maes = {"LR": [1.0, 2.0, 3.0, 4.0, 5.0], "GB": [1.0, 2.0, 3.5, 4.0, 5.0]}
+        for name, values in maes.items():
+            records = [EvalRecord(0, i, value, 0.5, 0.1, 20, 5, (0, 20), (20, 25))
+                       for i, value in enumerate(values, start=1)]
+            EvalResult(name, records).to_csv(tmp_path / f"eval_{name}.csv")
+        out = tmp_path / "out"
+        config_path = write_config(tmp_path / "c.json", out_dir=str(out))
+        assert main(["compare", "--config", str(config_path),
+                     str(tmp_path / "eval_LR.csv"), str(tmp_path / "eval_GB.csv")]) == 0
+        with (out / "comparisons.csv").open() as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["p_value"]) == 1.0
+        assert row["significant"] == "0"
+
+
+class TestCrawlFailures:
+    def test_a_missing_diff_falls_back_to_no_segments(self, tmp_path):
+        corpus = generate_corpus(25, seed=3)
+        doc = next(d for d in corpus if len(d["_diffs"]) >= 2)
+        missing = next(iter(doc["_diffs"]))
+        del doc["_diffs"][missing]
+        out = tmp_path / "out"
+        with FixtureGerritServer(corpus) as server:
+            config_path = write_config(tmp_path / "run.json", server.base_url,
+                                       out_dir=str(out))
+            assert main(["crawl", "--config", str(config_path)]) == 0
+        records, _ = ds.read_dataset(out / "changes.jsonl")
+        (record,) = [r for r in records if r.number == doc["_number"]]
+        segments = {f.path: f.segments for f in record.files}
+        assert set(segments) == {missing, *doc["_diffs"]}
+        assert segments[missing] is None
+        assert all(segments[path] is not None for path in doc["_diffs"])
+
+    def test_transport_failure_exits_1_and_leaves_an_incomplete_manifest(
+            self, tmp_path, capsys):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        # the port is closed again, so nothing listens on it
+        config_path = write_config(tmp_path / "run.json", f"http://127.0.0.1:{port}",
+                                   out_dir=str(tmp_path / "out"))
+        doc = json.loads(config_path.read_text())
+        doc["crawl"]["max_retries"] = 0
+        config_path.write_text(json.dumps(doc))
+        assert main(["crawl", "--config", str(config_path)]) == 1
+        assert "transport failure" in capsys.readouterr().err
+        manifest = ds.read_manifest(tmp_path / "out" / "changes.jsonl")
+        assert manifest.complete is False
 
 
 def _first_file(doc: dict) -> dict:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from reviewtime.errors import (
     TooFewRecordsError,
 )
 from reviewtime.evaluation import (
+    N_ITERATIONS,
     EvalResult,
     PipelineConfig,
     make_online_folds,
@@ -24,8 +27,13 @@ from reviewtime.evaluation import (
     sa,
 )
 from reviewtime.preprocess import NormalizerKind
-from reviewtime.regressors import Algorithm, HyperGrid, RegressorSpec
-from reviewtime.regressors.base import TrainedModel
+from reviewtime.regressors import (
+    LEARNERS,
+    Algorithm,
+    HyperGrid,
+    RegressorSpec,
+    grid_search,
+)
 
 from conftest import synthetic_matrix
 
@@ -240,6 +248,40 @@ class TestOnlineValidation:
         result = run_online_validation(data, config)
         assert result.failures == 0
 
+    def test_default_grid_when_neither_hyperparameters_nor_grid(self, monkeypatch):
+        grids = []
+
+        def recording_grid_search(algorithm, grid, *args):
+            grids.append(grid)
+            return grid_search(algorithm, grid, *args)
+
+        monkeypatch.setattr(evaluation, "grid_search", recording_grid_search)
+        config = PipelineConfig(Algorithm.KNN, repeats=1)
+        result = run_online_validation(synthetic_matrix(n=60), config)
+        assert result.failures == 0
+        assert grids == [HyperGrid.default(Algorithm.KNN)] * N_ITERATIONS
+
+    def test_failed_grid_fails_its_iteration_only(self, monkeypatch):
+        learner = LEARNERS[Algorithm.KNN]
+
+        def fit_knn(spec, X, y):
+            if len(X) < 30:  # the holdout fits of the earliest iterations
+                raise ValueError("too few rows")
+            return learner.fit(spec, X, y)
+
+        monkeypatch.setitem(LEARNERS, Algorithm.KNN, replace(learner, fit=fit_knn))
+        config = PipelineConfig(Algorithm.KNN, grid=HyperGrid(Algorithm.KNN,
+                                                              {"k": [1, 5]}),
+                                repeats=1)
+        records = run_online_validation(synthetic_matrix(n=60), config).records
+        failed = [r for r in records if r.failed]
+        assert 0 < len(failed) < len(records) == N_ITERATIONS
+        for r in failed:
+            assert r.error.startswith("AllPointsFailedError: ")
+            assert "KNN" in r.error and "too few rows" in r.error
+            assert np.isnan(r.mae)
+        assert all(np.isfinite(r.mae) for r in records if not r.failed)
+
     def test_selection_path(self):
         data = synthetic_matrix(n=60, n_features=8)
         config = PipelineConfig(Algorithm.LR, spec=RegressorSpec(Algorithm.LR),
@@ -259,8 +301,8 @@ class TestOnlineValidation:
         assert all(np.isfinite(r.mae) for r in result.records)
 
     def test_non_finite_predictions_fail_the_iteration(self, monkeypatch):
-        monkeypatch.setattr(TrainedModel, "predict",
-                            lambda self, X: np.full(len(X), np.nan))
+        monkeypatch.setitem(LEARNERS, Algorithm.LR, replace(
+            LEARNERS[Algorithm.LR], predict=lambda state, X: np.full(len(X), np.nan)))
         result = run_online_validation(synthetic_matrix(n=60), quick_config())
         assert result.failures == len(result.records) == 10
         assert all("NonFinitePredictionError" in r.error for r in result.records)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,11 @@ from reviewtime.errors import EmptyTrainingSetError, UnsupportedEstimatorError
 from reviewtime.preprocess import (
     NormalizerKind,
     apply_normalizer,
-    chronological_split,
     fit_normalizer,
     rfe_select,
     sequential_forward_select,
 )
-from reviewtime.regressors import Algorithm, RegressorSpec
+from reviewtime.regressors import LEARNERS, Algorithm, RegressorSpec, chronological_split
 
 
 class TestNormalizer:
@@ -94,6 +95,19 @@ class TestRfeSelect:
         X, y, names = planted_signal(p=4)
         result = rfe_select(RegressorSpec(Algorithm.LR), X, y, names)
         assert [n for n, _ in result.scores] == [4, 3, 2, 1]
+
+    def test_one_fit_per_cardinality(self, monkeypatch):
+        learner = LEARNERS[Algorithm.LR]
+        fits = []
+
+        def counting_fit(spec, X, y):
+            fits.append(X.shape[1])
+            return learner.fit(spec, X, y)
+
+        monkeypatch.setitem(LEARNERS, Algorithm.LR, replace(learner, fit=counting_fit))
+        X, y, names = planted_signal(p=6)
+        rfe_select(RegressorSpec(Algorithm.LR), X, y, names)
+        assert fits == [6, 5, 4, 3, 2, 1]
 
 
 class TestSequentialSelect:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from reviewtime.errors import (
     FeatureMismatchError,
 )
 from reviewtime.regressors import (
+    LEARNERS,
     Algorithm,
     HyperGrid,
     RegressorSpec,
@@ -487,7 +490,7 @@ class TestGridSearch:
         grid = HyperGrid(Algorithm.KNN, {"k": [1, 50]})
         best = grid_search(Algorithm.KNN, grid, X, y)
         # verify against direct evaluation of both candidates
-        from reviewtime.preprocess import chronological_split
+        from reviewtime.regressors import chronological_split
         fit_part, val_part = chronological_split(len(X))
         maes = {}
         for k in (1, 50):
@@ -508,3 +511,42 @@ class TestGridSearch:
         best = grid_search(Algorithm.KNN, grid, X, y)
         assert best.hyperparameters["k"] == 2
 
+    def test_point_with_non_finite_predictions_is_skipped(self, monkeypatch):
+        learner = LEARNERS[Algorithm.KNN]
+
+        def predict(state, X):
+            return np.full(len(X), np.nan) if state["k"] == 1 \
+                else learner.predict(state, X)
+
+        monkeypatch.setitem(LEARNERS, Algorithm.KNN, replace(learner, predict=predict))
+        X, y, _ = linear_data(3, n=40)
+        grid = HyperGrid(Algorithm.KNN, {"k": [1, 3]})
+        assert grid_search(Algorithm.KNN, grid, X, y).hyperparameters["k"] == 3
+
+    def test_point_whose_fit_raises_is_skipped(self, monkeypatch):
+        learner = LEARNERS[Algorithm.RR]
+
+        def fit_rr(spec, X, y):
+            if spec.hyperparameters["alpha"] == 0.1:
+                raise ValueError("boom")
+            return learner.fit(spec, X, y)
+
+        monkeypatch.setitem(LEARNERS, Algorithm.RR, replace(learner, fit=fit_rr))
+        X, y, _ = linear_data(4, n=40)
+        grid = HyperGrid(Algorithm.RR, {"alpha": [0.1, 1.0]})
+        assert grid_search(Algorithm.RR, grid, X, y).hyperparameters["alpha"] == 1.0
+
+    def test_every_point_failing_names_each_error(self, monkeypatch):
+        def fit_rr(spec, X, y):
+            raise ValueError(f"boom at {spec.hyperparameters['alpha']}")
+
+        monkeypatch.setitem(LEARNERS, Algorithm.RR,
+                            replace(LEARNERS[Algorithm.RR], fit=fit_rr))
+        X, y, _ = linear_data(5, n=40)
+        grid = HyperGrid(Algorithm.RR, {"alpha": [0.1, 1.0]})
+        with pytest.raises(AllPointsFailedError) as info:
+            grid_search(Algorithm.RR, grid, X, y)
+        message = str(info.value)
+        assert "RR" in message
+        assert "{'alpha': 0.1}: boom at 0.1" in message
+        assert "{'alpha': 1.0}: boom at 1.0" in message

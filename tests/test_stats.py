@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from reviewtime.errors import (
-    AllZeroDifferencesError,
     EmptyInputError,
     TooFewGroupsError,
     TooFewObservationsError,
@@ -62,8 +61,13 @@ class TestWilcoxon:
         assert p == pytest.approx(2 / 32)
 
     def test_all_zero_differences(self):
-        with pytest.raises(AllZeroDifferencesError):
-            wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0])
+        assert wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0]) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("b", [[1.0, 2.0, 3.0], [1.0, 2.0, 5.0]])
+    def test_one_non_zero_difference_matches_scipy(self, b):
+        a = [1.0, 2.0, 4.0]
+        assert wilcoxon_signed_rank(a, b) == (0.0, 1.0)
+        assert sps.wilcoxon(a, b, mode="exact").pvalue == 1.0
 
     def test_symmetric_small_sample_not_significant(self):
         a = [1.0, 2.0, 3.0, 4.0]
