@@ -3,6 +3,8 @@
 
 Spins up the fixture server on a synthetic corpus, then drives the CLI:
 crawl -> filter -> featurize -> evaluate -> compare -> ablate -> rank -> report.
+After crawl it prints the requests the server answered, such as
+"crawl: 41 requests for 40 changes" (one listing page, one patch per change).
 Everything lands in --out (default runs/fixture-demo).
 """
 
@@ -71,6 +73,8 @@ def run(args) -> int:
             code = cli(step)
             if code != 0:
                 return code
+            if step[0] == "crawl":
+                print(f"crawl: {server.request_count} requests for {len(corpus)} changes")
     print(f"\ndone; see {out / 'report.md'}")
     return 0
 

@@ -3,16 +3,23 @@
 The transport layer speaks the Gerrit changes REST protocol (XSSI guard,
 `_more_changes` pagination, a listing that asks for the ALL_REVISIONS /
 ALL_COMMITS / ALL_FILES / MESSAGES / DETAILED_ACCOUNTS options, so each page
-carries full change documents, and per-file revision diffs).  Normalization
-turns the raw JSON documents into :class:`ChangeRecord` values;
+carries full change documents, and one base64 ``git format-patch`` text per
+change, from "Get Patch", whose hunks give each file's edit segments).  A
+server's per-file diff may split regions differently from its patch
+(whitespace and diff options); binary files and pure renames have no hunks,
+so no segments.  Normalization turns the raw JSON documents into
+:class:`ChangeRecord` values, marking a message from a bot when its author
+is a ``SERVICE_USER`` or a whole word of the author's name is a bot marker;
 :func:`crawl_project` streams them into a JSONL dataset with idempotent resume
 by change number.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +32,6 @@ from pathlib import Path
 from types import UnionType
 from typing import (Any, Callable, Iterator, Mapping, get_args, get_origin,
                     get_type_hints)
-from urllib.parse import quote
 
 from .errors import HttpError, MalformedJsonError, NotFoundError, SchemaError
 
@@ -120,6 +126,8 @@ class CrawlConfig:
     request_timeout: float = 30.0
     max_retries: int = 3
     min_request_interval_ms: float = 0.0
+    # markers, each matching a whole word of an author's name, case-sensitively
+    # (words: runs of letters and digits)
     bot_accounts: tuple[str, ...] = DEFAULT_BOT_ACCOUNTS
     fetch_file_diffs: bool = True
 
@@ -256,25 +264,54 @@ def parse_gerrit_timestamp(value: str) -> datetime:
     return dt.replace(microsecond=micros, tzinfo=timezone.utc)
 
 
-def parse_diff_segments(diff_doc: dict) -> tuple[int, int, int]:
-    """Count maximal contiguous edit hunks in a revision file diff document.
+_HUNK = re.compile(r"@@ -\d+(?:,(\d+))? \+\d+(?:,(\d+))? @@")
+_WORD = re.compile(r"[^\W_]+")
 
-    The diff content is a list of blocks: ``ab`` runs are unchanged context;
-    blocks carrying ``a`` (removed lines) and/or ``b`` (inserted lines) are
-    edits.  A segment with only insertions counts as added, only deletions as
-    deleted, both as modified.
+
+def _patch_path(name: str) -> str | None:
+    """A ``---``/``+++`` header's path without its a/ or b/ prefix, C-quoting
+    undone; None for /dev/null."""
+    name = name.rstrip("\t")  # git appends a tab to a name with a space
+    if name.startswith('"'):
+        name = name[1:-1].encode().decode("unicode_escape").encode("latin-1").decode()
+    return None if name == "/dev/null" else name.partition("/")[2]
+
+
+def parse_patch_segments(text: str) -> dict[str, tuple[int, int, int]]:
+    """Count each file's maximal runs of edited lines in ``git format-patch`` text.
+
+    A run of ``-``/``+`` lines between context lines is one segment: with
+    only ``+`` lines it counts as added, only ``-`` as deleted, both as
+    modified.  Hunk bodies are read by their ``@@ -a,b +c,d @@`` line counts,
+    so an edited line that looks like a header stays a line.  A file is keyed
+    by its ``+++ b/...`` path, or its ``--- a/...`` path when deleted; a file
+    with no hunks (binary, a pure rename) has no entry.
     """
-    added = deleted = modified = 0
-    for block in diff_doc.get("content", []):
-        has_a = bool(block.get("a"))
-        has_b = bool(block.get("b"))
-        if has_a and has_b:
-            modified += 1
-        elif has_b:
-            added += 1
-        elif has_a:
-            deleted += 1
-    return added, deleted, modified
+    bodies: dict[str, str] = {}  # per file, its hunks' lines as "-", "+" or " "
+    lines = iter(text.split("\n"))
+    old = path = None
+    headers = False  # between a file's "diff --git" line and its "+++" line
+    for line in lines:
+        if line.startswith("diff --git "):
+            headers, old, path = True, None, None
+        elif headers and line.startswith("--- "):
+            old = _patch_path(line[4:])
+        elif headers and line.startswith("+++ "):
+            headers, path = False, _patch_path(line[4:]) or old
+            bodies[path] = ""
+        elif path is not None and (hunk := _HUNK.match(line)):
+            left_old, left_new = (1 if n is None else int(n) for n in hunk.groups())
+            body = " "  # a run ends with its hunk
+            while left_old > 0 or left_new > 0:
+                kind = next(lines, " ")[:1]
+                if kind != "\\":  # a "\ No newline at end of file" line is on no side
+                    body += kind if kind in ("-", "+") else " "
+                    left_old -= kind != "+"
+                    left_new -= kind != "-"
+            bodies[path] += body
+    return {path: tuple(sum(set(run) == kinds for run in re.findall(r"[-+]+", body))
+                        for kinds in ({"+"}, {"-"}, {"-", "+"}))
+            for path, body in bodies.items()}
 
 
 class GerritClient:
@@ -320,7 +357,8 @@ class GerritClient:
         """Close the session and its pooled connections."""
         self.session.close()
 
-    def _get(self, path: str, params: dict | None = None) -> Any:
+    def _get_bytes(self, path: str, params: dict | None = None) -> bytes:
+        """The body of a GET, retried on a transport failure, 5xx or 429."""
         import requests
 
         url = self.config.base_url.rstrip("/") + path
@@ -341,10 +379,13 @@ class GerritClient:
                     raise HttpError(f"request failed ({resp.status_code}) for {url}",
                                     status=resp.status_code)
                 else:
-                    return parse_gerrit_json(resp.content)
+                    return resp.content
             if attempt < self.config.max_retries:
                 time.sleep(RETRY_BACKOFF_SECONDS * (2 ** attempt))
         raise last_exc  # type: ignore[misc]
+
+    def _get(self, path: str, params: dict | None = None) -> Any:
+        return parse_gerrit_json(self._get_bytes(path, params))
 
     def fetch_change_page(self, start_offset: int) -> tuple[list[RawChange], bool]:
         if start_offset < 0:
@@ -362,32 +403,23 @@ class GerritClient:
         return changes, more
 
     def fetch_change_detail(self, doc: dict) -> RawChange:
-        """Complete a listing document: attach its per-file revision diffs.
+        """Complete a listing document: attach its files' segment counts.
 
-        The listing already carries the detail options, so this fetches
-        only the diffs, and nothing when ``fetch_file_diffs`` is off.
+        The listing already carries the detail options, so this fetches only
+        the first revision's patch, one request, and nothing when
+        ``fetch_file_diffs`` is off.  A patch that fails (404, bad base64,
+        a server error past ``max_retries``) leaves every file of the change
+        without segments.
         """
         if self.config.fetch_file_diffs:
-            doc = {**doc, "_file_diffs": self._fetch_revision_diffs(doc)}
-        return RawChange(data=doc, fetched_at=datetime.now(timezone.utc))
-
-    def _fetch_revision_diffs(self, doc: dict) -> dict[str, dict]:
-        revision = _first_revision(doc)
-        if revision is None:
-            return {}
-        number = doc.get("_number")
-        diffs: dict[str, dict] = {}
-        for path in revision.get("files", {}):
-            if path in PSEUDO_FILES:
-                continue
-            quoted = quote(path, safe="")
             try:
-                diffs[path] = self._get(
-                    f"/changes/{number}/revisions/1/files/{quoted}/diff"
-                )
-            except (HttpError, MalformedJsonError):
-                continue  # fall back to per-file segment classification
-        return diffs
+                patch = self._get_bytes(f"/changes/{doc['_number']}/revisions/1/patch")
+                diffs = parse_patch_segments(base64.b64decode(patch)
+                                             .decode("utf-8", "replace"))
+            except (HttpError, ValueError):  # binascii.Error is a ValueError
+                diffs = {}
+            doc = {**doc, "_file_diffs": diffs}
+        return RawChange(data=doc, fetched_at=datetime.now(timezone.utc))
 
     def iter_pages(self) -> Iterator[list[dict]]:
         """Yield the change listing page by page, bounded by ``max_changes``."""
@@ -421,11 +453,14 @@ def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
     """Normalize a raw Gerrit change document into a ChangeRecord.
 
     Here, and only here, a message is marked ``from_bot``: when it has no
-    author account, as the messages Gerrit's server writes itself, or when
-    its author's name holds one of ``config.bot_accounts``.  The record, its
-    files and its messages pass :func:`check_field_types` with the
-    document's values as they are, never coerced, so a crawl writes only
-    what :func:`dataset.read_dataset` reads back.  A missing key, or a
+    author account, as the messages Gerrit's server writes itself, when its
+    author's account is tagged ``SERVICE_USER``, or when a whole word of the
+    author's name (a run of letters and digits) is one of
+    ``config.bot_accounts``.  A file's segments are the counts that
+    :func:`parse_patch_segments` gave its path, in ``_file_diffs``.  The
+    record, its files and its messages pass :func:`check_field_types` with
+    the document's values as they are, never coerced, so a crawl writes
+    only what :func:`dataset.read_dataset` reads back.  A missing key, or a
     value of the wrong type or shape, is a SchemaError naming the change.
     """
     doc = raw.data
@@ -464,10 +499,7 @@ def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
                 if path in PSEUDO_FILES:
                     continue
                 info = revision["files"][path]
-                segments = None
-                if path in file_diffs:
-                    segments = parse_diff_segments(file_diffs[path])
-                values = {"path": path, "segments": segments,
+                values = {"path": path, "segments": file_diffs.get(path),
                           "lines_inserted": info.get("lines_inserted", 0),
                           "lines_deleted": info.get("lines_deleted", 0)}
                 # typed before FileDiff compares the counts with 0
@@ -485,7 +517,8 @@ def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
                 text=msg.get("message", ""),
                 revision_number=msg.get("_revision_number"),
                 from_bot="_account_id" not in author
-                or any(marker in name for marker in config.bot_accounts),
+                or "SERVICE_USER" in author.get("tags", ())
+                or any(word in config.bot_accounts for word in _WORD.findall(name)),
             ))
 
         reopened = any(m.text.startswith(RESTORE_MARKER) for m in messages)
@@ -526,7 +559,7 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
     re-running: an existing output file is read and validated with
     :func:`dataset.read_dataset`, its change numbers are skipped, and its
     manifest is carried on.  Each listing page carries full change
-    documents; the changes' file diffs may be fetched concurrently
+    documents; the changes' patches may be fetched concurrently
     (``jobs``, with as many pooled connections), at most one listing page of
     them ahead of the writer; writes are serialized.
     Returns the final DatasetManifest.

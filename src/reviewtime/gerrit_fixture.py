@@ -4,18 +4,22 @@ The corpus generator plants a learnable signal: completion time grows with
 churn, file count and weekend creation, so pipeline runs on fixture data have
 something to predict.  The server speaks enough of the changes REST protocol
 for the crawler: listing with pagination (full change documents when asked
-for options with ``o``), per-file diffs, the XSSI guard on every response,
-and HTTP/1.1 persistent connections.
+for options with ``o``), the XSSI guard on every JSON response, one base64
+``git format-patch`` text per change ("Get Patch"), rendered from the
+document's ``_diffs`` per request, and HTTP/1.1 persistent connections.
+Real patches also hold binary files and renames, which get no segments, and
+may split edit regions unlike a per-file diff; these patches do neither.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import re
 import threading
 from datetime import datetime, timedelta, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, unquote, urlparse
+from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 
@@ -59,6 +63,20 @@ def _make_diff(rng: np.random.Generator, inserted: int, deleted: int) -> dict:
             content.append(block)
             content.append({"ab": ["ctx"] * int(rng.integers(1, 5))})
     return {"content": content}
+
+
+def render_patch(doc: dict) -> str:
+    """A document's ``_diffs`` as ``git format-patch`` text, one hunk per file."""
+    lines = [f"From: {doc['owner']['name']}", f"Subject: [PATCH] {doc['subject']}",
+             "", "---"]
+    for path, diff in doc.get("_diffs", {}).items():
+        body = [f"{sign}{line}" for block in diff["content"]
+                for key, sign in (("ab", " "), ("a", "-"), ("b", "+"))
+                for line in block.get(key, ())]
+        old, new = (sum(line[0] in kept for line in body) for kept in (" -", " +"))
+        lines += [f"diff --git a/{path} b/{path}", f"--- a/{path}", f"+++ b/{path}",
+                  f"@@ -1,{old} +1,{new} @@", *body]
+    return "\n".join([*lines, "-- ", ""])
 
 
 def generate_corpus(n_changes: int = 200, seed: int = 0) -> list[dict]:
@@ -202,10 +220,10 @@ class _FixtureHandler(BaseHTTPRequestHandler):
         with self.server.stats_lock:
             self.server.connection_count += 1
 
-    def _send_json(self, payload, status: int = 200) -> None:
-        body = b")]}'\n" + json.dumps(payload).encode("utf-8")
+    def _send(self, status: int, body: bytes = b"",
+              content_type: str = "text/plain; charset=utf-8") -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -216,15 +234,13 @@ class _FixtureHandler(BaseHTTPRequestHandler):
             server.request_count += 1
             if server.fail_next > 0:
                 server.fail_next -= 1
-                self.send_response(503)
-                self.send_header("Content-Length", "0")
-                self.end_headers()
+                self._send(503)
                 return
         parsed = urlparse(self.path)
         params = parse_qs(parsed.query)
         path = parsed.path
 
-        diff = re.fullmatch(r"/changes/(\d+)/revisions/1/files/(.+)/diff", path)
+        patch = re.fullmatch(r"/changes/(\d+)/revisions/1/patch", path)
         if path == "/changes/":
             start = int(params.get("start", ["0"])[0])
             limit = int(params.get("n", ["25"])[0])
@@ -238,22 +254,13 @@ class _FixtureHandler(BaseHTTPRequestHandler):
                 docs = [{k: doc[k] for k in light_keys if k in doc} for doc in page]
             if docs and start + limit < len(server.listing):
                 docs[-1]["_more_changes"] = True
-            self._send_json(docs)
-        elif diff:
-            number = int(diff.group(1))
-            file_path = unquote(diff.group(2))
-            doc = server.by_number.get(number)
-            diffs = doc.get("_diffs", {}) if doc else {}
-            if file_path not in diffs:
-                self.send_response(404)
-                self.send_header("Content-Length", "0")
-                self.end_headers()
-                return
-            self._send_json(diffs[file_path])
+            self._send(200, b")]}'\n" + json.dumps(docs).encode("utf-8"),
+                       "application/json; charset=utf-8")
+        elif patch and int(patch.group(1)) in server.by_number:
+            doc = server.by_number[int(patch.group(1))]
+            self._send(200, base64.b64encode(render_patch(doc).encode("utf-8")))
         else:
-            self.send_response(404)
-            self.send_header("Content-Length", "0")
-            self.end_headers()
+            self._send(404)
 
 
 class FixtureGerritServer:

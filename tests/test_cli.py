@@ -6,6 +6,7 @@ import csv
 import json
 import socket
 import time
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -14,12 +15,14 @@ import pytest
 from conftest import make_record, synthetic_matrix
 
 from reviewtime import dataset as ds
+from reviewtime import gerrit
 from reviewtime.cli import build_parser, main
 from reviewtime.config import load_run_config
 from reviewtime.errors import ConfigError
 from reviewtime.evaluation import EvalRecord, EvalResult
 from reviewtime.features import DIMENSIONS
-from reviewtime.gerrit_fixture import FixtureGerritServer, generate_corpus
+from reviewtime.gerrit_fixture import (FixtureGerritServer, _FixtureHandler,
+                                       generate_corpus)
 from reviewtime.stats import compare_pairwise
 
 
@@ -427,6 +430,37 @@ class TestCrawlFailures:
         assert set(segments) == {missing, *doc["_diffs"]}
         assert segments[missing] is None
         assert all(segments[path] is not None for path in doc["_diffs"])
+
+    @pytest.mark.parametrize("status, body", [
+        (404, b""), (200, b"not base64!"), (503, b"")],
+        ids=["not-found", "bad-base64", "server-error"])
+    def test_a_failed_patch_leaves_its_change_without_segments(
+            self, tmp_path, monkeypatch, status, body):
+        corpus = generate_corpus(25, seed=3)
+        broken = corpus[4]["_number"]
+        do_get = _FixtureHandler.do_GET
+
+        def do_get_failing_one_patch(handler):
+            if handler.path == f"/changes/{broken}/revisions/1/patch":
+                handler._send(status, body)  # every retry of a 503 too
+            else:
+                do_get(handler)
+
+        monkeypatch.setattr(gerrit, "RETRY_BACKOFF_SECONDS", 0.0)
+        crawled = {}
+        for name in ("clean", "broken"):
+            if name == "broken":
+                monkeypatch.setattr(_FixtureHandler, "do_GET", do_get_failing_one_patch)
+            out = tmp_path / name
+            with FixtureGerritServer(corpus) as server:
+                config_path = write_config(tmp_path / f"{name}.json", server.base_url,
+                                           out_dir=str(out))
+                assert main(["crawl", "--config", str(config_path)]) == 0
+            crawled[name], _ = ds.read_dataset(out / "changes.jsonl")
+        assert crawled["broken"] == [
+            replace(r, files=tuple(replace(f, segments=None) for f in r.files))
+            if r.number == broken else r for r in crawled["clean"]]
+        assert all(f.segments is not None for r in crawled["clean"] for f in r.files)
 
     def test_transport_failure_exits_1_and_leaves_an_incomplete_manifest(
             self, tmp_path, capsys):

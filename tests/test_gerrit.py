@@ -32,11 +32,39 @@ from reviewtime.gerrit import (
     RawChange,
     crawl_project,
     normalize_change,
-    parse_diff_segments,
     parse_gerrit_json,
     parse_gerrit_timestamp,
+    parse_patch_segments,
 )
-from reviewtime.gerrit_fixture import _make_diff, generate_corpus
+from reviewtime.gerrit_fixture import _make_diff, generate_corpus, render_patch
+
+
+def parse_diff_segments(diff_doc: dict) -> tuple[int, int, int]:
+    """Count maximal contiguous edit hunks in a revision file diff document.
+
+    The reference for :func:`parse_patch_segments`: the counting that the
+    crawl applied to Gerrit's per-file diff documents.  The diff content is
+    a list of blocks: ``ab`` runs are unchanged context; blocks carrying
+    ``a`` (removed lines) and/or ``b`` (inserted lines) are edits.  A
+    segment with only insertions counts as added, only deletions as
+    deleted, both as modified.
+    """
+    added = deleted = modified = 0
+    for block in diff_doc.get("content", []):
+        has_a = bool(block.get("a"))
+        has_b = bool(block.get("b"))
+        if has_a and has_b:
+            modified += 1
+        elif has_b:
+            added += 1
+        elif has_a:
+            deleted += 1
+    return added, deleted, modified
+
+
+def reference_segments(doc: dict) -> dict[str, tuple[int, int, int]]:
+    """The reference's counts for every file of a fixture document."""
+    return {path: parse_diff_segments(diff) for path, diff in doc["_diffs"].items()}
 
 
 def make_config(base_url="http://localhost:1", **kwargs):
@@ -155,6 +183,33 @@ class TestNormalizeChange:
         record = normalize_change(as_raw(doc), make_config())
         assert [m.from_bot for m in record.messages] == [True, False]
 
+    @pytest.mark.parametrize("name, bot", [
+        ("Ann Abbott", False), ("Jo Talbot", False), ("Marc CIric", False),
+        ("Dependabot", False), ("Jenkins Build", True), ("Zuul CI", True),
+        ("zuul-bot", True)])
+    def test_bot_markers_match_whole_words(self, name, bot):
+        doc = detail_doc(messages=[
+            {"author": {"_account_id": 101, "name": name},
+             "date": "2021-04-28 09:00:00.000000000", "message": "LGTM"}])
+        record = normalize_change(as_raw(doc), make_config())
+        assert record.messages[0].from_bot is bot
+        assert record.participants == (() if bot else (101,))
+
+    def test_a_one_word_bot_name_needs_its_own_marker(self):
+        doc = detail_doc(messages=[
+            {"author": {"_account_id": 950, "name": "Dependabot"},
+             "date": "2021-04-28 09:00:00.000000000", "message": "Bump"}])
+        config = make_config(bot_accounts=("bot", "Dependabot"))
+        assert normalize_change(as_raw(doc), config).messages[0].from_bot
+
+    def test_a_service_user_is_a_bot(self):
+        doc = detail_doc(messages=[
+            {"author": {"_account_id": 950, "name": "Gatekeeper",
+                        "tags": ["SERVICE_USER"]},
+             "date": "2021-04-28 09:00:00.000000000", "message": "Verified+1"}])
+        record = normalize_change(as_raw(doc), make_config())
+        assert record.messages[0].from_bot and record.participants == ()
+
     def test_a_custom_bot_name_makes_a_self_review(self):
         doc = detail_doc(messages=[
             {"author": {"_account_id": 100, "name": "dev-a"},
@@ -207,6 +262,92 @@ class TestDiffSegments:
 
     def test_empty(self):
         assert parse_diff_segments({"content": [{"ab": ["x"]}]}) == (0, 0, 0)
+
+
+class TestPatchEquivalence:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_patch_counts_match_the_reference(self, seed):
+        """Every file of every fixture document counts the same from the
+        server's rendered patch as from its per-file diff document."""
+        for doc in generate_corpus(200, seed):
+            assert parse_patch_segments(render_patch(doc)) == reference_segments(doc)
+
+
+def file_patch(path, *hunk_lines, old=None, new=None):
+    """One file's section of a patch, headers named by ``old`` and ``new``."""
+    old = f"a/{path}" if old is None else old
+    new = f"b/{path}" if new is None else new
+    return "\n".join([f"diff --git a/{path} b/{path}", "index 1111111..2222222 100644",
+                      f"--- {old}", f"+++ {new}", *hunk_lines]) + "\n"
+
+
+class TestPatchSegments:
+    def test_a_c_quoted_path_is_unquoted(self):
+        patch = file_patch("café.c", "@@ -1,3 +1,3 @@", " int a;", "-int b;",
+                           "+int c;", " int d;", old='"a/caf\\303\\251.c"',
+                           new='"b/caf\\303\\251.c"')
+        assert parse_patch_segments(patch) == {"café.c": (0, 0, 1)}
+        doc = detail_doc(files={"café.c": {"lines_inserted": 1, "lines_deleted": 1}})
+        doc["_file_diffs"] = parse_patch_segments(patch)
+        record = normalize_change(as_raw(doc), make_config())
+        assert [(f.path, f.segments) for f in record.files] == [("café.c", (0, 0, 1))]
+
+    def test_a_path_with_a_space_drops_gits_trailing_tab(self):
+        patch = file_patch("my file.c", "@@ -1 +1,2 @@", " a", "+b",
+                           old="a/my file.c\t", new="b/my file.c\t")
+        assert parse_patch_segments(patch) == {"my file.c": (1, 0, 0)}
+
+    def test_deleted_and_added_files(self):
+        patch = file_patch("gone.c", "@@ -1,2 +0,0 @@", "-int a;", "-int b;",
+                           new="/dev/null") \
+            + file_patch("new.c", "@@ -0,0 +1 @@", "+int a;", old="/dev/null")
+        assert parse_patch_segments(patch) == {"gone.c": (0, 1, 0),
+                                               "new.c": (1, 0, 0)}
+
+    def test_a_binary_file_has_no_segments(self):
+        patch = "\n".join(["diff --git a/logo.png b/logo.png",
+                           "index 1111111..2222222 100644",
+                           "Binary files a/logo.png and b/logo.png differ", ""]) \
+            + file_patch("a.c", "@@ -1 +1,2 @@", " a", "+b")
+        assert parse_patch_segments(patch) == {"a.c": (1, 0, 0)}
+        doc = detail_doc(files={"logo.png": {"lines_inserted": 0, "lines_deleted": 0},
+                                "a.c": {"lines_inserted": 1, "lines_deleted": 0}})
+        doc["_file_diffs"] = parse_patch_segments(patch)
+        record = normalize_change(as_raw(doc), make_config())
+        assert {f.path: f.segments for f in record.files} == {
+            "a.c": (1, 0, 0), "logo.png": None}
+
+    def test_no_newline_marker_does_not_split_a_run(self):
+        patch = file_patch("a.c", "@@ -1,2 +1,2 @@", " int a;", "-int b;",
+                           "\\ No newline at end of file", "+int c;",
+                           "\\ No newline at end of file")
+        assert parse_patch_segments(patch) == {"a.c": (0, 0, 1)}
+
+    def test_edited_lines_that_look_like_headers_stay_lines(self):
+        # the removed line "-- a/x" and the added line "++ b/y"
+        patch = file_patch("notes.txt", "@@ -1,3 +1,3 @@", " title", "--- a/x",
+                           "+++ b/y", " end")
+        assert parse_patch_segments(patch) == {"notes.txt": (0, 0, 1)}
+
+    def test_a_file_with_several_hunks(self):
+        # unchanged lines lie between hunks, so a run ends with its hunk
+        patch = file_patch("a.c", "@@ -1,3 +1,4 @@", " a", "+b", " c", " d",
+                           "@@ -10,2 +11,1 @@", " x", "-y",
+                           "@@ -20 +19 @@", "-p", "+q")
+        assert parse_patch_segments(patch) == {"a.c": (1, 1, 1)}
+
+    def test_the_commit_message_preamble_is_skipped(self):
+        preamble = "\n".join([
+            "From 1234abcd Mon Sep 17 00:00:00 2001",
+            "From: Dev A <a@example.com>",
+            "Subject: [PATCH] Explain the patch format",
+            "", "The message quotes a patch and a name cut short:",
+            "--- a/other.c", "+++ b/other.c", "@@ -1 +1 @@", "-x", "+y",
+            '--- "a/x\\u"',
+            "---", " a.c | 1 +", " 1 file changed, 1 insertion(+)", ""])
+        patch = preamble + file_patch("a.c", "@@ -1,2 +1,3 @@", " keep", "+added",
+                                      " keep") + "-- \n2.39.0\n"
+        assert parse_patch_segments(patch) == {"a.c": (1, 0, 0)}
 
 
 def make_diff_per_line(rng, inserted, deleted):
@@ -412,17 +553,17 @@ class TestCrawl:
         final = crawl_project(make_config(fixture_server.base_url, page_size=10), out)
         assert final.count == 25 and final.complete is True
 
-    def test_one_request_per_listing_page_and_per_file(self, fixture_server,
-                                                       fixture_corpus, tmp_path):
+    def test_one_request_per_listing_page_and_per_change(self, fixture_server,
+                                                         fixture_corpus, tmp_path):
         out = tmp_path / "changes.jsonl"
         config = make_config(fixture_server.base_url, page_size=10,
                              fetch_file_diffs=True)
         crawl_project(config, out)
-        files = sum(len(doc["_diffs"]) for doc in fixture_corpus)  # no pseudo files
-        assert fixture_server.request_count == 3 + files
+        assert fixture_server.request_count == 3 + len(fixture_corpus)
         records, _ = ds.read_dataset(out)
         assert records == [
-            normalize_change(as_raw({**doc, "_file_diffs": doc["_diffs"]}), config)
+            normalize_change(as_raw({**doc, "_file_diffs": reference_segments(doc)}),
+                             config)
             for doc in sorted(fixture_corpus, key=lambda d: d["created"])]
 
     def test_resume_fetches_diffs_of_unseen_changes_only(self, fixture_server,
@@ -433,9 +574,8 @@ class TestCrawl:
         crawl_project(partial, out)
         before = fixture_server.request_count
         crawl_project(replace(partial, max_changes=None), out)
-        listing = sorted(fixture_corpus, key=lambda d: d["created"])
-        unseen_files = sum(len(doc["_diffs"]) for doc in listing[7:])
-        assert fixture_server.request_count - before == 3 + unseen_files
+        unseen = len(fixture_corpus) - 7
+        assert fixture_server.request_count - before == 3 + unseen
 
     def test_crawl_reuses_one_connection_through_a_retry(self, fixture_server,
                                                          tmp_path):
@@ -474,6 +614,14 @@ class TestCrawl:
         assert manifest.count == 25
         records, _ = ds.read_dataset(tmp_path / "c.jsonl")
         assert len({r.number for r in records}) == 25
+
+    def test_jobs_do_not_change_the_dataset(self, fixture_server, tmp_path):
+        config = make_config(fixture_server.base_url, page_size=10,
+                             fetch_file_diffs=True)
+        for jobs in (1, 4):
+            crawl_project(config, tmp_path / f"jobs{jobs}" / "changes.jsonl", jobs=jobs)
+        assert (tmp_path / "jobs1" / "changes.jsonl").read_bytes() \
+            == (tmp_path / "jobs4" / "changes.jsonl").read_bytes()
 
     def test_parallel_crawl_keeps_one_connection_per_job(self, tmp_path):
         from reviewtime.gerrit_fixture import FixtureGerritServer, generate_corpus
