@@ -63,6 +63,8 @@ class DatasetManifest:
     schema_version: str = SCHEMA_VERSION
     complete: bool = True
     filter_policy: FilterPolicy | None = None
+    # the crawl that wrote every record asked for its change's patch; a file's
+    # segments are still null for a failed patch, a binary file or a rename
     segments_from_diff: bool = False
 
     def __post_init__(self):

@@ -101,10 +101,16 @@ class EvalRecord:
     sa: float
     n_train: int
     n_test: int
-    train_range: tuple[int, int]
-    test_range: tuple[int, int]
     failed: bool = False
     error: str = ""
+
+    @property
+    def train_range(self) -> tuple[int, int]:  # online training starts at row 0
+        return 0, self.n_train
+
+    @property
+    def test_range(self) -> tuple[int, int]:  # the fold after the training rows
+        return self.n_train, self.n_train + self.n_test
 
 
 @dataclass
@@ -158,7 +164,7 @@ def _parse_record(row: list[str]) -> EvalRecord:
     if not failed and not all(map(math.isfinite, metrics)):
         raise ValueError(f"a scored row needs finite mae, mre and sa, not {row[2:5]}")
     return EvalRecord(int(row[0]), int(row[1]), *metrics, n_train, n_test,
-                      (0, n_train), (n_train, n_train + n_test), failed, row[8])
+                      failed, row[8])
 
 
 def _paired(name: str, pred: Sequence[float], actual: Sequence[float],
@@ -272,6 +278,5 @@ def run_online_validation(data: FeatureMatrix, config: PipelineConfig) -> EvalRe
             result.records.append(EvalRecord(
                 repeat, iteration, *scores,
                 n_train=train_stop, n_test=test_range[1] - test_range[0],
-                train_range=(0, train_stop), test_range=test_range,
                 failed=bool(error), error=error))
     return result

@@ -4,14 +4,14 @@ The transport layer speaks the Gerrit changes REST protocol (XSSI guard,
 `_more_changes` pagination, a listing that asks for the ALL_REVISIONS /
 ALL_COMMITS / ALL_FILES / MESSAGES / DETAILED_ACCOUNTS options, so each page
 carries full change documents, and one base64 ``git format-patch`` text per
-change, from "Get Patch", whose hunks give each file's edit segments).  A
-server's per-file diff may split regions differently from its patch
-(whitespace and diff options); binary files and pure renames have no hunks,
-so no segments.  Normalization turns the raw JSON documents into
-:class:`ChangeRecord` values, marking a message from a bot when its author
-is a ``SERVICE_USER`` or a whole word of the author's name is a bot marker;
-:func:`crawl_project` streams them into a JSONL dataset with idempotent resume
-by change number.
+change, patch set 1's from "Get Patch", whose hunks give the edit segments of
+that patch set's files).  A server's per-file diff may split regions
+differently from its patch (whitespace and diff options); binary files and
+pure renames have no hunks, so no segments.  Normalization turns the raw
+JSON documents into :class:`ChangeRecord` values, marking a message from a
+bot when its author is a ``SERVICE_USER`` or a whole word of the author's
+name is a bot marker; :func:`crawl_project` streams them into a JSONL dataset
+with idempotent resume by change number.
 """
 
 from __future__ import annotations
@@ -129,7 +129,6 @@ class CrawlConfig:
     # markers, each matching a whole word of an author's name, case-sensitively
     # (words: runs of letters and digits)
     bot_accounts: tuple[str, ...] = DEFAULT_BOT_ACCOUNTS
-    fetch_file_diffs: bool = True
 
     def __post_init__(self):
         check_field_types(CrawlConfig, vars(self))
@@ -388,8 +387,6 @@ class GerritClient:
         return parse_gerrit_json(self._get_bytes(path, params))
 
     def fetch_change_page(self, start_offset: int) -> tuple[list[RawChange], bool]:
-        if start_offset < 0:
-            raise ValueError("start_offset must be >= 0")
         payload = self._get(
             "/changes/",
             params={"q": self.config.query, "n": self.config.page_size,
@@ -406,20 +403,18 @@ class GerritClient:
         """Complete a listing document: attach its files' segment counts.
 
         The listing already carries the detail options, so this fetches only
-        the first revision's patch, one request, and nothing when
-        ``fetch_file_diffs`` is off.  A patch that fails (404, bad base64,
-        a server error past ``max_retries``) leaves every file of the change
-        without segments.
+        patch set 1's patch, one request.  A patch that fails (404, bad
+        base64, a server error past ``max_retries``) leaves every file of the
+        change without segments.
         """
-        if self.config.fetch_file_diffs:
-            try:
-                patch = self._get_bytes(f"/changes/{doc['_number']}/revisions/1/patch")
-                diffs = parse_patch_segments(base64.b64decode(patch)
-                                             .decode("utf-8", "replace"))
-            except (HttpError, ValueError):  # binascii.Error is a ValueError
-                diffs = {}
-            doc = {**doc, "_file_diffs": diffs}
-        return RawChange(data=doc, fetched_at=datetime.now(timezone.utc))
+        try:
+            patch = self._get_bytes(f"/changes/{doc['_number']}/revisions/1/patch")
+            diffs = parse_patch_segments(base64.b64decode(patch)
+                                         .decode("utf-8", "replace"))
+        except (HttpError, ValueError):  # binascii.Error is a ValueError
+            diffs = {}
+        return RawChange(data={**doc, "_file_diffs": diffs},
+                         fetched_at=datetime.now(timezone.utc))
 
     def iter_pages(self) -> Iterator[list[dict]]:
         """Yield the change listing page by page, bounded by ``max_changes``."""
@@ -438,15 +433,9 @@ class GerritClient:
 
 
 def _first_revision(doc: dict) -> dict | None:
-    revisions = doc.get("revisions") or {}
-    best = None
-    for rev in revisions.values():
-        num = rev.get("_number")
-        if num == 1:
-            return rev
-        if best is None or (num is not None and num < best.get("_number", 1 << 30)):
-            best = rev
-    return best
+    """Patch set 1, whose patch the crawl fetches; None when it is absent."""
+    revisions = (doc.get("revisions") or {}).values()
+    return next((rev for rev in revisions if rev.get("_number") == 1), None)
 
 
 def normalize_change(raw: RawChange, config: CrawlConfig) -> ChangeRecord:
@@ -577,11 +566,11 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
     seen = {record.number for record in records}
     project = manifest.project or next((r.project for r in records), "")
     del records  # only the numbers are needed while crawling
-    # records already crawled without diffs keep a resumed dataset from
-    # claiming segments from diffs
+    # a crawl asks for every change's patch, which may give a file no hunks;
+    # records already on disk without that claim keep the resumed one off
     manifest = replace(manifest, crawl_query=config.query, count=len(seen),
-                       complete=False, segments_from_diff=config.fetch_file_diffs
-                       and (manifest.segments_from_diff or not seen))
+                       complete=False,
+                       segments_from_diff=manifest.segments_from_diff or not seen)
     ds.write_manifest(manifest, output_path)
 
     import requests

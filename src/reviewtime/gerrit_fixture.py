@@ -3,8 +3,8 @@
 The corpus generator plants a learnable signal: completion time grows with
 churn, file count and weekend creation, so pipeline runs on fixture data have
 something to predict.  The server speaks enough of the changes REST protocol
-for the crawler: listing with pagination (full change documents when asked
-for options with ``o``), the XSSI guard on every JSON response, one base64
+for the crawler: listing with pagination (full change documents, as the
+crawler's options ask for), the XSSI guard on every JSON response, one base64
 ``git format-patch`` text per change ("Get Patch"), rendered from the
 document's ``_diffs`` per request, and HTTP/1.1 persistent connections.
 Real patches also hold binary files and renames, which get no segments, and
@@ -244,14 +244,8 @@ class _FixtureHandler(BaseHTTPRequestHandler):
         if path == "/changes/":
             start = int(params.get("start", ["0"])[0])
             limit = int(params.get("n", ["25"])[0])
-            page = server.listing[start:start + limit]
-            if "o" in params:  # any option: the full document
-                docs = [{k: v for k, v in doc.items() if k != "_diffs"}
-                        for doc in page]
-            else:
-                light_keys = ("id", "change_id", "project", "branch", "_number",
-                              "status", "created", "updated", "subject")
-                docs = [{k: doc[k] for k in light_keys if k in doc} for doc in page]
+            docs = [{k: v for k, v in doc.items() if k != "_diffs"}
+                    for doc in server.listing[start:start + limit]]
             if docs and start + limit < len(server.listing):
                 docs[-1]["_more_changes"] = True
             self._send(200, b")]}'\n" + json.dumps(docs).encode("utf-8"),

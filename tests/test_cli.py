@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import csv
 import json
 import socket
@@ -9,9 +10,12 @@ import time
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from types import SimpleNamespace
+from urllib.parse import urlparse
 
 import numpy as np
 import pytest
+import requests
 from conftest import make_record, synthetic_matrix
 
 from reviewtime import dataset as ds
@@ -22,8 +26,11 @@ from reviewtime.errors import ConfigError
 from reviewtime.evaluation import EvalRecord, EvalResult
 from reviewtime.features import DIMENSIONS
 from reviewtime.gerrit_fixture import (FixtureGerritServer, _FixtureHandler,
-                                       generate_corpus)
+                                       generate_corpus, render_patch)
 from reviewtime.stats import compare_pairwise
+
+
+NO_SERVER = "http://127.0.0.1:1"  # nothing listens on port 1
 
 
 def write_config(path: Path, base_url: str | None = None, repeats: int = 2,
@@ -73,6 +80,16 @@ class TestConfig:
         path.write_text('{"evaluation": {"base_seed": 11}}', encoding="utf-8")
         with pytest.raises(ConfigError, match="unknown key 'base_seed' in evaluation"):
             load_run_config(path)
+
+    def test_fetch_file_diffs_is_an_unknown_key(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"crawl": {"base_url": "http://x.invalid", '
+                        '"fetch_file_diffs": true}}', encoding="utf-8")
+        with pytest.raises(ConfigError,
+                           match="unknown key 'fetch_file_diffs' in crawl"):
+            load_run_config(path)
+        assert main(["crawl", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_syntax_error_names_line(self, tmp_path):
         path = tmp_path / "c.json"
@@ -153,8 +170,7 @@ class TestConfig:
         ({"evaluation": {"pipelines": 5}}, "evaluation"),
         ({"filter": {"drop_reopened": "no"}}, "filter"),
         ({"filter": {"drop_self_reviewed": 0}}, "filter"),
-        ({"crawl": {"base_url": "http://x.invalid", "fetch_file_diffs": "no"}},
-         "crawl"),
+        ({"crawl": {"base_url": "http://x.invalid", "max_retries": -1}}, "crawl"),
         ({"crawl": {"base_url": "http://x.invalid", "page_size": 2.5}}, "crawl"),
         ({"crawl": {"base_url": "http://x.invalid", "page_size": True}}, "crawl"),
         ({"crawl": {"base_url": "http://x.invalid", "max_retries": 1.5}}, "crawl"),
@@ -381,7 +397,7 @@ class TestCommands:
                 failed = key in failed_at[name]
                 records.append(EvalRecord(
                     *key, float("nan") if failed else float(value), 0.5, 0.1,
-                    20, 5, (0, 20), (20, 25), failed, "boom" if failed else ""))
+                    20, 5, failed, "boom" if failed else ""))
             EvalResult(name, records).to_csv(tmp_path / f"eval_{name}.csv")
         out = tmp_path / "out"
         config_path = write_config(tmp_path / "c.json", out_dir=str(out))
@@ -400,7 +416,7 @@ class TestCommands:
     def test_compare_with_one_non_zero_difference(self, tmp_path):
         maes = {"LR": [1.0, 2.0, 3.0, 4.0, 5.0], "GB": [1.0, 2.0, 3.5, 4.0, 5.0]}
         for name, values in maes.items():
-            records = [EvalRecord(0, i, value, 0.5, 0.1, 20, 5, (0, 20), (20, 25))
+            records = [EvalRecord(0, i, value, 0.5, 0.1, 20, 5)
                        for i, value in enumerate(values, start=1)]
             EvalResult(name, records).to_csv(tmp_path / f"eval_{name}.csv")
         out = tmp_path / "out"
@@ -411,6 +427,28 @@ class TestCommands:
             (row,) = csv.DictReader(fh)
         assert float(row["p_value"]) == 1.0
         assert row["significant"] == "0"
+
+
+def serve_without_a_server(monkeypatch, listing, status=200) -> list[str]:
+    """Answer a crawl's GETs in place of ``requests.Session.get``: the change
+    listing with ``status`` and ``listing`` as JSON, a listed change's patch
+    with its rendered ``_diffs``.  Returns the URLs asked for, in order."""
+    monkeypatch.setattr(gerrit, "RETRY_BACKOFF_SECONDS", 0.0)
+    patches = {f"/changes/{doc['_number']}/revisions/1/patch": render_patch(doc)
+               for doc in listing if isinstance(doc, dict)}
+    urls = []
+
+    def get(session, url, **kwargs):
+        urls.append(url)
+        patch = patches.get(urlparse(url).path)
+        if patch is not None:
+            return SimpleNamespace(status_code=200,
+                                   content=base64.b64encode(patch.encode()))
+        return SimpleNamespace(status_code=status,
+                               content=b")]}'\n" + json.dumps(listing).encode())
+
+    monkeypatch.setattr(requests.Session, "get", get)
+    return urls
 
 
 class TestCrawlFailures:
@@ -461,6 +499,58 @@ class TestCrawlFailures:
             replace(r, files=tuple(replace(f, segments=None) for f in r.files))
             if r.number == broken else r for r in crawled["clean"]]
         assert all(f.segments is not None for r in crawled["clean"] for f in r.files)
+
+    def test_a_crawl_whose_patches_have_no_hunks_still_claims_them(self, tmp_path):
+        # segments_from_diff says the crawl asked for each change's patch; a
+        # file the patch gives no hunks keeps null segments
+        corpus = generate_corpus(10, seed=3)
+        for doc in corpus:
+            del doc["_diffs"]
+        out = tmp_path / "out"
+        with FixtureGerritServer(corpus) as server:
+            config_path = write_config(tmp_path / "run.json", server.base_url,
+                                       out_dir=str(out))
+            assert main(["crawl", "--config", str(config_path)]) == 0
+        records, manifest = ds.read_dataset(out / "changes.jsonl")
+        files = [f for r in records for f in r.files]
+        assert len(records) == 10 and files
+        assert all(f.segments is None for f in files)
+        assert manifest.segments_from_diff is True
+
+    @pytest.mark.parametrize("status, listing, error", [
+        (200, {"_number": 1}, "MalformedJsonError: change listing is not a JSON array"),
+        (200, [5], "SchemaError: raw change payload is not a JSON object"),
+        (403, [], "HttpError: request failed (403)"),
+    ], ids=["listing-not-an-array", "change-not-an-object", "forbidden"])
+    def test_a_rejected_listing_exits_1_after_one_request(
+            self, tmp_path, capsys, monkeypatch, status, listing, error):
+        urls = serve_without_a_server(monkeypatch, listing, status)
+        config_path = write_config(tmp_path / "run.json", NO_SERVER,
+                                   out_dir=str(tmp_path / "out"))
+        doc = json.loads(config_path.read_text())
+        doc["crawl"]["max_retries"] = 3  # a 403 is not retried
+        config_path.write_text(json.dumps(doc))
+        assert main(["crawl", "--config", str(config_path)]) == 1
+        assert error in capsys.readouterr().err
+        assert len(urls) == 1
+        assert ds.read_manifest(tmp_path / "out" / "changes.jsonl").complete is False
+
+    def test_a_merged_change_without_a_close_time_is_not_written(
+            self, tmp_path, capsys, monkeypatch):
+        corpus = generate_corpus(3, seed=1)
+        broken = corpus[1]
+        broken["status"] = "MERGED"
+        broken.pop("submitted", None)
+        del broken["updated"]
+        serve_without_a_server(monkeypatch, corpus)
+        out = tmp_path / "out"
+        config_path = write_config(tmp_path / "run.json", NO_SERVER, out_dir=str(out))
+        assert main(["crawl", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError: change 2: no submitted/updated timestamp" in err
+        records, manifest = ds.read_dataset(out / "changes.jsonl")
+        assert [r.number for r in records] == [1]
+        assert manifest.complete is False
 
     def test_transport_failure_exits_1_and_leaves_an_incomplete_manifest(
             self, tmp_path, capsys):
@@ -545,7 +635,7 @@ class TestMalformedInput:
         assert "SchemaError" in err and str(manifest) in err
 
     def test_compare_names_the_malformed_line(self, tmp_path, capsys):
-        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5, (0, 20), (20, 25))
+        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5)
                    for i in range(5)]
         for name in ("A", "B"):
             EvalResult(name, records).to_csv(tmp_path / f"eval_{name}.csv")
@@ -612,7 +702,7 @@ class TestMalformedInput:
                                       lambda cells: cells[:-1]],
                              ids=["cell-too-many", "cell-too-few"])
     def test_compare_names_a_row_of_the_wrong_width(self, tmp_path, capsys, edit):
-        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5, (0, 20), (20, 25))
+        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5)
                    for i in range(5)]
         for name in ("A", "B"):
             EvalResult(name, records).to_csv(tmp_path / f"eval_{name}.csv")
@@ -631,7 +721,7 @@ class TestMalformedInput:
     def test_a_result_file_that_is_not_utf8_names_the_line(self, tmp_path, capsys,
                                                           command, name, line):
         synthetic_matrix(n=60).to_csv(tmp_path / "features.csv")
-        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5, (0, 20), (20, 25))
+        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5)
                    for i in range(5)]
         for algo in ("A", "B"):
             EvalResult(algo, records).to_csv(tmp_path / f"eval_{algo}.csv")
@@ -665,7 +755,7 @@ class TestMalformedInput:
         assert "config error" in err and str(path) in err
 
     def test_compare_with_no_common_key(self, tmp_path, capsys):
-        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5, (0, 20), (20, 25))
+        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5)
                    for i in range(5)]
         EvalResult("LR", records).to_csv(tmp_path / "eval_LR.csv")
         EvalResult("GB", []).to_csv(tmp_path / "eval_GB.csv")
@@ -676,7 +766,7 @@ class TestMalformedInput:
         assert "no (repeat, iteration) is scored in every result file" in err
 
     def test_compare_rejects_a_repeated_result_name(self, tmp_path, capsys):
-        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5, (0, 20), (20, 25))
+        records = [EvalRecord(0, i, 1.0 + i, 0.5, 0.1, 20, 5)
                    for i in range(5)]
         paths = [tmp_path / "a" / "eval_GB.csv", tmp_path / "b" / "eval_GB.csv",
                  tmp_path / "a" / "eval_LR.csv"]

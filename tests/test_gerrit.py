@@ -69,7 +69,6 @@ def reference_segments(doc: dict) -> dict[str, tuple[int, int, int]]:
 
 def make_config(base_url="http://localhost:1", **kwargs):
     kwargs.setdefault("max_retries", 0)
-    kwargs.setdefault("fetch_file_diffs", False)
     return CrawlConfig(base_url=base_url, **kwargs)
 
 
@@ -165,6 +164,13 @@ class TestNormalizeChange:
         assert [f.path for f in record.files] == ["a.c"]
         assert record.insertions_total == 3
         assert record.deletions_total == 1
+
+    def test_a_document_without_patch_set_1_has_no_files(self):
+        doc = detail_doc()
+        doc["revisions"]["sha1"]["_number"] = 2
+        record = normalize_change(as_raw(doc), make_config())
+        assert record.files == () and record.message_body == ""
+        assert record.tz_offset_missing is True
 
     def test_missing_tz_flags_record(self):
         doc = detail_doc()
@@ -408,7 +414,7 @@ class TestFetch:
 
     def test_detail_has_files_and_messages(self, fixture_server):
         # the listing asks for the detail options, so it carries full documents
-        config = make_config(fixture_server.base_url, fetch_file_diffs=True)
+        config = make_config(fixture_server.base_url)
         client = GerritClient(config)
         page, _ = client.fetch_change_page(0)
         doc = page[4].data
@@ -425,13 +431,6 @@ class TestFetch:
             client._get("/changes/5/detail")
         with pytest.raises(NotFoundError):
             client._get("/changes/99999/revisions/1/files/a.c/diff")
-
-    def test_listing_without_options_is_light(self, fixture_server):
-        client = GerritClient(make_config(fixture_server.base_url))
-        docs = client._get("/changes/", params={"n": 3})
-        assert [sorted(doc) for doc in docs[:2]] == [[
-            "_number", "branch", "change_id", "created", "id", "project",
-            "status", "subject", "updated"]] * 2
 
     def test_retry_then_success(self, fixture_server):
         config = make_config(fixture_server.base_url, max_retries=2)
@@ -523,11 +522,11 @@ class TestCrawl:
     def test_resume_with_diffs_keeps_a_diffless_start_unclaimed(self, fixture_server,
                                                                 tmp_path):
         out = tmp_path / "changes.jsonl"
-        fresh = make_config(fixture_server.base_url, page_size=10, max_changes=7,
-                            fetch_file_diffs=True)
+        fresh = make_config(fixture_server.base_url, page_size=10, max_changes=7)
         assert crawl_project(fresh, tmp_path / "fresh" / "changes.jsonl") \
             .segments_from_diff is True
-        crawl_project(replace(fresh, fetch_file_diffs=False), out)
+        records, _ = ds.read_dataset(tmp_path / "fresh" / "changes.jsonl")
+        ds.write_dataset(records, out, segments_from_diff=False)
         resumed = crawl_project(replace(fresh, max_changes=20), out)
         assert resumed.count == 20
         assert resumed.segments_from_diff is False
@@ -556,8 +555,7 @@ class TestCrawl:
     def test_one_request_per_listing_page_and_per_change(self, fixture_server,
                                                          fixture_corpus, tmp_path):
         out = tmp_path / "changes.jsonl"
-        config = make_config(fixture_server.base_url, page_size=10,
-                             fetch_file_diffs=True)
+        config = make_config(fixture_server.base_url, page_size=10)
         crawl_project(config, out)
         assert fixture_server.request_count == 3 + len(fixture_corpus)
         records, _ = ds.read_dataset(out)
@@ -569,8 +567,7 @@ class TestCrawl:
     def test_resume_fetches_diffs_of_unseen_changes_only(self, fixture_server,
                                                          fixture_corpus, tmp_path):
         out = tmp_path / "changes.jsonl"
-        partial = make_config(fixture_server.base_url, page_size=10, max_changes=7,
-                              fetch_file_diffs=True)
+        partial = make_config(fixture_server.base_url, page_size=10, max_changes=7)
         crawl_project(partial, out)
         before = fixture_server.request_count
         crawl_project(replace(partial, max_changes=None), out)
@@ -579,8 +576,7 @@ class TestCrawl:
 
     def test_crawl_reuses_one_connection_through_a_retry(self, fixture_server,
                                                          tmp_path):
-        config = make_config(fixture_server.base_url, page_size=10,
-                             fetch_file_diffs=True, max_retries=1)
+        config = make_config(fixture_server.base_url, page_size=10, max_retries=1)
         fixture_server.set_fail_next(1)
         crawl_project(config, tmp_path / "c.jsonl", jobs=1)
         assert fixture_server.request_count > 25
@@ -616,8 +612,7 @@ class TestCrawl:
         assert len({r.number for r in records}) == 25
 
     def test_jobs_do_not_change_the_dataset(self, fixture_server, tmp_path):
-        config = make_config(fixture_server.base_url, page_size=10,
-                             fetch_file_diffs=True)
+        config = make_config(fixture_server.base_url, page_size=10)
         for jobs in (1, 4):
             crawl_project(config, tmp_path / f"jobs{jobs}" / "changes.jsonl", jobs=jobs)
         assert (tmp_path / "jobs1" / "changes.jsonl").read_bytes() \
@@ -627,8 +622,7 @@ class TestCrawl:
         from reviewtime.gerrit_fixture import FixtureGerritServer, generate_corpus
 
         with FixtureGerritServer(generate_corpus(100, seed=1)) as server:
-            config = make_config(server.base_url, page_size=50,
-                                 fetch_file_diffs=True)
+            config = make_config(server.base_url, page_size=50)
             manifest = crawl_project(config, tmp_path / "c.jsonl", jobs=16)
             assert manifest.count == 100
             assert server.connection_count <= 16

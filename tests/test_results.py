@@ -56,7 +56,7 @@ def pinned_eval(name: str) -> EvalResult:
         failed = math.isnan(mae)
         records.append(EvalRecord(
             repeat, iteration, mae, NAN if failed else mae / 40, NAN if failed else 1 - mae / 20,
-            n_train, 5, (0, n_train), (n_train, n_train + 5), failed,
+            n_train, 5, failed,
             _FAILURE if failed else ""))
     return EvalResult(name, records)
 
@@ -74,8 +74,8 @@ def pinned_importance() -> ImportanceResult:
 def pinned_summaries() -> dict:
     """The summaries ``data/results/eval_summary.json`` holds; every SVM
     iteration failed, so its means are null."""
-    failed = EvalResult("SVM", [EvalRecord(0, 0, NAN, NAN, NAN, 20, 5, (0, 20),
-                                           (20, 25), True, _FAILURE)])
+    failed = EvalResult("SVM", [EvalRecord(0, 0, NAN, NAN, NAN, 20, 5, True,
+                                           _FAILURE)])
     return {name: result.summary()
             for name, result in (("KNN", pinned_eval("KNN")),
                                  ("LR", pinned_eval("LR")), ("SVM", failed))}
