@@ -69,10 +69,10 @@ def cmd_filter(config: RunConfig, args) -> None:
                      query=manifest.crawl_query, filter_policy=config.filter_policy,
                      segments_from_diff=manifest.segments_from_diff)
     ds.write_json(out / "filter_report.json", report)
-    print(f"kept {report.kept} of {report.total} records "
-          f"(incomplete {report.dropped_incomplete}, reopened {report.dropped_reopened}, "
-          f"self {report.dropped_self}, short {report.dropped_short}, "
-          f"long {report.dropped_long}) -> {out / 'filtered.jsonl'}")
+    dropped = ", ".join(f"{rule} {getattr(report, f'dropped_{rule}')}"
+                        for rule in ds.FILTER_RULES)
+    print(f"kept {report.kept} of {report.total} records ({dropped}) "
+          f"-> {out / 'filtered.jsonl'}")
 
 
 def cmd_featurize(config: RunConfig, args) -> dict:
@@ -137,8 +137,7 @@ def cmd_compare(config: RunConfig, args) -> None:
               f"{dropped}")
     samples = {name: [maes[k] for k in keys] for name, maes in keyed.items()}
     comparisons = compare_pairwise(samples)
-    ds.write_table(out / "comparisons.csv", _COMPARISON_HEADER,
-                   map(astuple, comparisons))
+    _write_comparisons(out / "comparisons.csv", comparisons)
     lines = ["| pair | W | p | p(adj) | significant | delta | magnitude |",
              "|---|---|---|---|---|---|---|"]
     for c in comparisons:
@@ -150,9 +149,10 @@ def cmd_compare(config: RunConfig, args) -> None:
     print("\n".join(lines))
 
 
-# the columns of a comparisons CSV, in the order of stats.ComparisonResult's fields
-_COMPARISON_HEADER = ("left", "right", "w", "p_value", "p_adjusted", "significant",
-                      "cliffs_d", "magnitude")
+def _write_comparisons(path: Path, comparisons) -> None:
+    """One row per stats.ComparisonResult, its fields in order under these names."""
+    ds.write_table(path, ("left", "right", "w", "p_value", "p_adjusted", "significant",
+                          "cliffs_d", "magnitude"), map(astuple, comparisons))
 
 
 def cmd_ablate(config: RunConfig, args) -> None:
@@ -161,8 +161,7 @@ def cmd_ablate(config: RunConfig, args) -> None:
     ablation = dimension_ablation(data, _pipelines(config)[0])
     for mode, result in ablation.results.items():
         result.to_csv(out / f"ablation_{mode}.csv")
-    ds.write_table(out / "ablation_comparisons.csv", _COMPARISON_HEADER,
-                   map(astuple, ablation.comparisons))
+    _write_comparisons(out / "ablation_comparisons.csv", ablation.comparisons)
     for mode in ("all", *DIMENSIONS):
         summary = ablation.results[mode].summary()
         print(f"{mode}: mae mean {summary['mae']['mean']:.3f}")
@@ -181,10 +180,11 @@ def cmd_rank(config: RunConfig, args) -> None:
 
 def cmd_report(config: RunConfig, args) -> dict:
     run_dir = config.out_dir
+    # a run directory may itself sit under a directory named meta
     artifacts = sorted(
-        p.relative_to(run_dir).as_posix()
-        for p in run_dir.rglob("*")
-        if p.is_file() and "meta" not in p.parts and p.name != "report.md"
+        rel.as_posix()
+        for rel in (p.relative_to(run_dir) for p in run_dir.rglob("*") if p.is_file())
+        if "meta" not in rel.parts and rel.name != "report.md"
     )
     lines = ["# Run report", "", "## Artifacts", ""]
     for artifact in artifacts:
@@ -215,61 +215,47 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _arg(*flags, **keywords) -> tuple[tuple, dict]:
+    """The arguments of one ``add_argument`` call."""
+    return flags, keywords
+
+
+# each command: its help, its handler and its own arguments; every command also
+# takes --config, --seed and --out
+_FEATURES = _arg("--features", required=True, help="feature CSV")
+COMMANDS = {
+    "crawl": ("fetch changes from the Gerrit server", cmd_crawl, [
+        _arg("--jobs", type=_positive_int, default=1, help="concurrent patch fetches")]),
+    "filter": ("apply the training-data filters", cmd_filter, [
+        _arg("--in", dest="input", required=True, help="input dataset JSONL")]),
+    "featurize": ("extract the 50-feature matrix", cmd_featurize, [
+        _arg("--in", dest="input", required=True, help="filtered dataset JSONL"),
+        _arg("--history", default=None,
+             help="unfiltered dataset JSONL for experience features")]),
+    "evaluate": ("run online validation per algorithm", cmd_evaluate, [_FEATURES]),
+    "compare": ("pairwise statistical comparison of results", cmd_compare, [
+        _arg("results", nargs="+", help="eval result CSV files")]),
+    "ablate": ("all-features vs single-dimension study", cmd_ablate, [_FEATURES]),
+    "rank": ("LOCO importance with ESD ranking", cmd_rank, [
+        _FEATURES, _arg("--by", choices=["feature", "dimension"], default="feature")]),
+    "report": ("consolidated Markdown report for a run", cmd_report, []),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reviewtime",
         description="Predict code review completion time from review histories",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_text, func, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="output directory")
-
-    p = sub.add_parser("crawl", help="fetch changes from the Gerrit server")
-    common(p)
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="concurrent diff fetches")
-    p.set_defaults(func=cmd_crawl)
-
-    p = sub.add_parser("filter", help="apply the training-data filters")
-    common(p)
-    p.add_argument("--in", dest="input", required=True, help="input dataset JSONL")
-    p.set_defaults(func=cmd_filter)
-
-    p = sub.add_parser("featurize", help="extract the 50-feature matrix")
-    common(p)
-    p.add_argument("--in", dest="input", required=True, help="filtered dataset JSONL")
-    p.add_argument("--history", default=None,
-                   help="unfiltered dataset JSONL for experience features")
-    p.set_defaults(func=cmd_featurize)
-
-    p = sub.add_parser("evaluate", help="run online validation per algorithm")
-    common(p)
-    p.add_argument("--features", required=True, help="feature CSV")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("compare", help="pairwise statistical comparison of results")
-    common(p)
-    p.add_argument("results", nargs="+", help="eval result CSV files")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("ablate", help="all-features vs single-dimension study")
-    common(p)
-    p.add_argument("--features", required=True, help="feature CSV")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("rank", help="LOCO importance with ESD ranking")
-    common(p)
-    p.add_argument("--features", required=True, help="feature CSV")
-    p.add_argument("--by", choices=["feature", "dimension"], default="feature")
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("report", help="consolidated Markdown report for a run")
-    common(p)
-    p.set_defaults(func=cmd_report)
-
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 

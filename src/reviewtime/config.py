@@ -95,10 +95,19 @@ def _pipeline(entry: dict, repeats: int, base_seed: int) -> PipelineConfig:
 
 def _evaluation(section: dict, seed: int) -> tuple[PipelineConfig, ...]:
     repeats = _integer(section.get("repeats", DEFAULT_REPEATS), "repeats", 1)
-    return tuple(
+    pipelines = tuple(
         _section(entry, f"evaluation.pipelines[{i}]", _PIPELINE_KEYS,
                  lambda e: _pipeline(e, repeats, seed))
         for i, entry in enumerate(section.get("pipelines", [])))
+    # evaluate names each result file after its algorithm, eval_<ALGO>.csv
+    first: dict[Algorithm, int] = {}
+    for i, pipeline in enumerate(pipelines):
+        j = first.setdefault(pipeline.algorithm, i)
+        if j != i:
+            raise ConfigError(f"evaluation.pipelines[{i}]: algorithm "
+                              f"{pipeline.algorithm.value} is already evaluated "
+                              f"by evaluation.pipelines[{j}]")
+    return pipelines
 
 
 def _run_config(doc: dict, seed_override: int | None,

@@ -50,8 +50,7 @@ class FilterReport:
 
     @property
     def total(self) -> int:
-        return (self.kept + self.dropped_reopened + self.dropped_self
-                + self.dropped_short + self.dropped_long + self.dropped_incomplete)
+        return sum(vars(self).values())
 
 
 @dataclass(frozen=True)
@@ -83,38 +82,32 @@ def is_self_reviewed(record: ChangeRecord) -> bool:
     return not record.participants
 
 
+# the filters in the order they are tried: each drops the records it names,
+# counted in the FilterReport field dropped_<rule>
+FILTER_RULES: dict[str, Callable[[ChangeRecord, FilterPolicy], bool]] = {
+    "incomplete": lambda record, policy: record.closed_at is None,
+    "reopened": lambda record, policy: policy.drop_reopened and record.reopened,
+    "self": lambda record, policy: (policy.drop_self_reviewed
+                                    and is_self_reviewed(record)),
+    "short": lambda record, policy: completion_time_hours(record) <= policy.min_hours,
+    "long": lambda record, policy: completion_time_hours(record) > policy.max_hours,
+}
+
+
 def apply_filters(records: Sequence[ChangeRecord],
                   policy: FilterPolicy) -> tuple[list[ChangeRecord], FilterReport]:
     """Drop irrelevant records, counting each under its first matching rule."""
     kept: list[ChangeRecord] = []
-    incomplete = reopened = self_reviewed = short = long_ = 0
+    dropped = dict.fromkeys(FILTER_RULES, 0)
     for record in records:
-        if record.closed_at is None:
-            incomplete += 1
-            continue
-        if policy.drop_reopened and record.reopened:
-            reopened += 1
-            continue
-        if policy.drop_self_reviewed and is_self_reviewed(record):
-            self_reviewed += 1
-            continue
-        duration = completion_time_hours(record)
-        if duration <= policy.min_hours:
-            short += 1
-            continue
-        if duration > policy.max_hours:
-            long_ += 1
-            continue
-        kept.append(record)
-    report = FilterReport(
-        kept=len(kept),
-        dropped_reopened=reopened,
-        dropped_self=self_reviewed,
-        dropped_short=short,
-        dropped_long=long_,
-        dropped_incomplete=incomplete,
-    )
-    return kept, report
+        for rule, drops in FILTER_RULES.items():
+            if drops(record, policy):
+                dropped[rule] += 1
+                break
+        else:
+            kept.append(record)
+    return kept, FilterReport(len(kept), **{f"dropped_{rule}": count
+                                            for rule, count in dropped.items()})
 
 
 def sort_by_creation(records: Sequence[ChangeRecord]) -> list[ChangeRecord]:

@@ -165,8 +165,8 @@ class FileDiff:
     path: str
     lines_inserted: int
     lines_deleted: int
-    # per-file edit segment counts (added, deleted, modified) parsed from the
-    # revision diff; None when diff content was not fetched
+    # per-file edit segment counts (added, deleted, modified) parsed from patch
+    # set 1's patch; None for a failed patch, a binary file or a pure rename
     segments: tuple[int, int, int] | None = None
 
     def __post_init__(self):

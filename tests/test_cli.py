@@ -16,7 +16,7 @@ from urllib.parse import urlparse
 import numpy as np
 import pytest
 import requests
-from conftest import make_record, synthetic_matrix
+from conftest import make_message, make_record, synthetic_matrix
 
 from reviewtime import dataset as ds
 from reviewtime import gerrit
@@ -187,6 +187,11 @@ class TestConfig:
         ({"filter": {"min_hours": True}}, "filter"),
         ({"filter": {"min_hours": 0, "max_hours": True}}, "filter"),
         ({"crawl": {"base_url": "http://x.invalid", "query": 5}}, "crawl"),
+        ({"evaluation": {"pipelines": [
+            {"algorithm": "KNN", "hyperparameters": {"k": 1}},
+            {"algorithm": "LR"},
+            {"algorithm": "KNN", "hyperparameters": {"k": 20}}]}},
+         "evaluation.pipelines[2]"),
     ])
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, doc, where):
         path = tmp_path / "c.json"
@@ -241,6 +246,26 @@ class TestConfig:
             build_parser().parse_args(["crawl", "--config", "c.json", "--jobs", jobs])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_each_command_takes_its_own_options(self):
+        common = {"-h", "--help", "--config", "--seed", "--out"}
+        expected = {
+            "crawl": {"--jobs"},
+            "filter": {"--in"},
+            "featurize": {"--in", "--history"},
+            "evaluate": {"--features"},
+            "compare": {"results"},
+            "ablate": {"--features"},
+            "rank": {"--features", "--by"},
+            "report": set(),
+        }
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action.choices, dict))
+        assert list(commands) == list(expected)
+        for name, parser in commands.items():
+            found = {s for action in parser._actions
+                     for s in action.option_strings or [action.dest]}
+            assert found == common | expected[name], name
 
 
 @pytest.fixture()
@@ -336,6 +361,36 @@ class TestCommands:
         with (out / "ablation_comparisons.csv").open() as fh:
             pairs = [(row["left"], row["right"]) for row in csv.DictReader(fh)]
         assert pairs == [("all", dim) for dim in DIMENSIONS]
+
+    def test_filter_prints_each_rule_count_in_order(self, tmp_path, capsys):
+        owner_only = (make_message(100),)
+        records = [
+            make_record(1, duration_hours=None),
+            *(make_record(n, duration_hours=100.0, reopened=True) for n in range(2, 4)),
+            *(make_record(n, duration_hours=100.0, messages=owner_only)
+              for n in range(4, 7)),
+            *(make_record(n, duration_hours=10.0) for n in range(7, 11)),
+            *(make_record(n, duration_hours=600.0) for n in range(11, 16)),
+            *(make_record(n, duration_hours=100.0) for n in range(16, 22)),
+        ]
+        ds.write_dataset(records, tmp_path / "in.jsonl")
+        out = tmp_path / "out"
+        config_path = write_config(tmp_path / "c.json", out_dir=str(out))
+        assert main(["filter", "--config", str(config_path),
+                     "--in", str(tmp_path / "in.jsonl")]) == 0
+        assert capsys.readouterr().out == (
+            "kept 6 of 21 records (incomplete 1, reopened 2, self 3, short 4, long 5)"
+            f" -> {out / 'filtered.jsonl'}\n")
+
+    def test_report_of_a_run_under_a_directory_named_meta(self, tmp_path, capsys):
+        run = tmp_path / "meta" / "run"
+        run.mkdir(parents=True)
+        (run / "features.csv").write_text("number\n", encoding="utf-8")
+        config_path = write_config(tmp_path / "c.json", out_dir=str(run))
+        assert main(["report", "--config", str(config_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"report covering 1 artifacts -> {run / 'report.md'}\n")
+        assert "[features.csv](features.csv)" in (run / "report.md").read_text()
 
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         config_path = write_config(tmp_path / "c.json")
