@@ -5,6 +5,8 @@ non-bot message author on each prior in-window change, with the weight counting
 how many changes the pair interacted on.  All centralities are computed on the
 unweighted simple graph.  Each metric takes a node of the graph:
 :func:`collab_features` alone scores an owner absent from the graph 0.
+A window graph grows by the changes that enter it (:func:`grow_graph`), and
+:func:`collab_features` scores each owner once per graph shape.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ class InteractionGraph:
             adj[v].add(u)
         return adj
 
+    @property
+    def shape(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Nodes and their neighbours in iteration order: all the metrics read."""
+        adj = self.adjacency
+        return tuple((u, tuple(adj[u])) for u in self.nodes)
+
 
 @dataclass(frozen=True)
 class CollabFeatures:
@@ -56,7 +64,15 @@ class CollabFeatures:
 
 def build_graph(history: Sequence[ChangeRecord], as_of: datetime,
                 window_days: int = DEFAULT_WINDOW_DAYS) -> InteractionGraph:
-    """Accumulate owner-participant interactions over the window before as_of.
+    """The empty graph grown by the changes in the window before as_of."""
+    window_start = as_of - timedelta(days=window_days)
+    return grow_graph(InteractionGraph(nodes=frozenset(), edges={}), [
+        change for change in history if window_start <= change.created_at < as_of])
+
+
+def grow_graph(graph: InteractionGraph,
+               changes: Sequence[ChangeRecord]) -> InteractionGraph:
+    """The graph of ``graph``'s window extended by ``changes``.
 
     The graph holds by construction what the metrics assume:
     - the edge keys are ``interaction_pairs``: sorted pairs of an owner and a
@@ -64,19 +80,20 @@ def build_graph(history: Sequence[ChangeRecord], as_of: datetime,
     - the weights are ``Counter`` counts, so each is at least 1;
     - the nodes are the endpoints of the keys.
 
-    Each in-window change counts its ``interaction_pairs`` into the weights,
-    whose keys keep the order of each pair's first occurrence.  Nodes are
-    added in that key order, so every node enters the set at its first
-    appearance, as it would if it were added at every occurrence: the set
-    table, and so the iteration order of ``nodes`` and ``adjacency`` that
-    betweenness sums its floats in, is the same.
+    Each change counts its ``interaction_pairs`` into the weights, whose keys
+    keep the order of each pair's first occurrence (``Counter.update``
+    appends new keys only).  Nodes are added in that key order, so every
+    node enters the set at its first appearance, as it would if it were
+    added at every occurrence: the set table, and so the iteration order of
+    ``nodes`` and ``adjacency`` that betweenness sums its floats in, is the
+    one a rebuild over the whole window gives.
     """
-    window_start = as_of - timedelta(days=window_days)
-    weights = dict(Counter(chain.from_iterable(
-        change.interaction_pairs for change in history
-        if window_start <= change.created_at < as_of)))
-    nodes = set(chain.from_iterable(weights))
-    return InteractionGraph(nodes=frozenset(nodes), edges=weights)
+    weights = Counter(graph.edges)
+    weights.update(chain.from_iterable(change.interaction_pairs
+                                       for change in changes))
+    nodes = (graph.nodes if len(weights) == len(graph.edges)
+             else frozenset(set(chain.from_iterable(weights))))
+    return InteractionGraph(nodes=nodes, edges=dict(weights))
 
 
 def _bfs_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:
@@ -272,15 +289,27 @@ def core_numbers(graph: InteractionGraph) -> dict[int, int]:
 
 
 def collab_features(graph: InteractionGraph, owner: int) -> CollabFeatures:
-    """All six owner metrics; zeros when the owner is absent from the graph."""
+    """All six owner metrics; zeros when the owner is absent from the graph.
+
+    The owners' values on the last shape are kept; a raising metric stores
+    nothing."""
     if owner not in graph.nodes:
         return CollabFeatures()
-    return CollabFeatures(
-        degree_centrality=degree_centrality(graph, owner),
-        closeness_centrality=closeness_centrality(graph, owner),
-        betweenness_centrality=betweenness_centrality(graph, owner),
-        eigenvector_centrality=eigenvector_centrality(graph, owner),
-        clustering_coefficient=clustering_coefficient(graph, owner),
-        core_number=core_number(graph, owner),
-    )
+    scores = _shape_scores(graph.shape)
+    if owner not in scores:
+        scores[owner] = CollabFeatures(
+            degree_centrality=degree_centrality(graph, owner),
+            closeness_centrality=closeness_centrality(graph, owner),
+            betweenness_centrality=betweenness_centrality(graph, owner),
+            eigenvector_centrality=eigenvector_centrality(graph, owner),
+            clustering_coefficient=clustering_coefficient(graph, owner),
+            core_number=core_number(graph, owner),
+        )
+    return scores[owner]
+
+
+@lru_cache(maxsize=1)
+def _shape_scores(shape: tuple) -> dict[int, CollabFeatures]:
+    """The owners scored so far on ``shape``, filled in by the caller."""
+    return {}
 

@@ -457,9 +457,11 @@ def featurize(records: Sequence[ChangeRecord],
     dataset so short/long/self-reviewed changes still count as experience.
     History is read in creation order, so its input order does not matter;
     a change number may appear in it once, with the creation time the
-    records give it.  One sweep in creation order feeds the completed
-    changes created before each record into one :class:`PriorHistory`, so a
-    record costs its own keys plus the changes in its graph window.
+    records give it.  One sweep in creation order feeds the changes created
+    before each record into one :class:`PriorHistory` (the completed ones)
+    and into the previous record's graph, which is rebuilt only when a
+    change leaves the window (that can change the order betweenness sums
+    in).  A record costs its own keys plus the changes entering its window.
     """
     history = sort_by_creation(records if history is None else history)
     _check_change_numbers(records, history)
@@ -467,17 +469,23 @@ def featurize(records: Sequence[ChangeRecord],
     window = timedelta(days=window_days)
     prior = PriorHistory()
     added = 0
+    graph, graph_start = None, -1
     vectors = []
     for record in sort_by_creation(records):
         if record.closed_at is None:
             continue
         end = bisect_left(created, record.created_at, added)
-        for change in history[added:end]:
+        entered = history[added:end]
+        for change in entered:
             if change.closed_at is not None:
                 prior.add(change)
         added = end
         start = bisect_left(created, record.created_at - window, 0, end)
-        graph = collab.build_graph(history[start:end], as_of=record.created_at,
-                                   window_days=window_days)
+        if start == graph_start:
+            graph = collab.grow_graph(graph, entered)
+        else:
+            graph = collab.build_graph(history[start:end], as_of=record.created_at,
+                                       window_days=window_days)
+            graph_start = start
         vectors.append(_assemble(record, graph, prior, policy))
     return FeatureMatrix.from_vectors(vectors)

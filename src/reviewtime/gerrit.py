@@ -547,10 +547,10 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
     Appends incrementally, so an interrupted crawl can be resumed by
     re-running: an existing output file is read and validated with
     :func:`dataset.read_dataset`, its change numbers are skipped, and its
-    manifest is carried on.  Each listing page carries full change
-    documents; the changes' patches may be fetched concurrently
-    (``jobs``, with as many pooled connections), at most one listing page of
-    them ahead of the writer; writes are serialized.
+    manifest is carried on, unless it is a filter's.  Each listing page
+    carries full change documents; the changes' patches may be fetched
+    concurrently (``jobs``, with as many pooled connections), at most one
+    listing page of them ahead of the writer; writes are serialized.
     Returns the final DatasetManifest.
     """
     from . import dataset as ds
@@ -566,6 +566,10 @@ def crawl_project(config: CrawlConfig, output_path: str | Path, jobs: int = 1):
     seen = {record.number for record in records}
     project = manifest.project or next((r.project for r in records), "")
     del records  # only the numbers are needed while crawling
+    if manifest.filter_policy is not None:
+        # ``filter`` wrote its manifest over the crawl's in this directory
+        manifest = replace(manifest, filter_policy=None,
+                           created_at=datetime.now(timezone.utc))
     # a crawl asks for every change's patch, which may give a file no hunks;
     # records already on disk without that claim keep the resumed one off
     manifest = replace(manifest, crawl_query=config.query, count=len(seen),

@@ -289,6 +289,29 @@ class TestCommands:
         total = sum(report.values())
         assert total == 25
 
+    def test_crawl_resumed_after_a_filter_drops_the_filter_manifest(
+            self, fixture_server, tmp_path):
+        # filter writes its manifest into the crawl's directory, over the
+        # crawl's own
+        config_path = write_config(tmp_path / "run.json", fixture_server.base_url)
+        doc = json.loads(config_path.read_text())
+        doc["crawl"]["max_changes"] = 20
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        crawl = ["crawl", "--config", str(config_path), "--out", str(out)]
+        assert main(crawl) == 0
+        crawled = ds.read_manifest(out / "changes.jsonl")
+        assert main(["filter", "--config", str(config_path),
+                     "--in", str(out / "changes.jsonl"), "--out", str(out)]) == 0
+        filtered = ds.read_manifest(out / "changes.jsonl")
+        assert filtered.filter_policy is not None and filtered.count != 20
+        assert main(crawl) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["filter_policy"] is None and doc["count"] == 20
+        resumed = ds.read_manifest(out / "changes.jsonl")
+        assert resumed.created_at > filtered.created_at
+        assert replace(resumed, created_at=crawled.created_at) == crawled
+
     def test_pipeline_composition(self, crawled_dir):
         tmp_path, config_path = crawled_dir
         out = tmp_path / "out"

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import astuple, replace
 from datetime import timedelta
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from reviewtime import collab
 from reviewtime.collab import (
+    CollabFeatures,
     InteractionGraph,
     betweenness_centrality,
     build_graph,
@@ -23,6 +26,7 @@ from reviewtime.collab import (
     degree_centrality,
     eigenvector_centrality,
 )
+from reviewtime.dataset import sort_by_creation
 from reviewtime.errors import ConvergenceFailureError
 from reviewtime.gerrit import CrawlConfig, RawChange, normalize_change
 from reviewtime.gerrit_fixture import generate_corpus
@@ -386,6 +390,50 @@ class TestBuildGraphOrder:
                         reference_build_graph(records[:k], as_of, window_days))
 
 
+@lru_cache(maxsize=None)
+def creation_ordered_corpus(step=None):
+    """``generate_corpus(120, seed=4)`` in creation order.  With a step, its
+    accounts move onto 10 000 + step * k, ids that fall into the same slots
+    of small set tables, so set order follows insertion order."""
+    config = CrawlConfig(base_url="http://fixture.invalid")
+    records = sort_by_creation([normalize_change(RawChange(doc, BASE_TIME), config)
+                                for doc in generate_corpus(120, seed=4)])
+    if step is None:
+        return records
+    ids = sorted({r.owner_id for r in records}
+                 | {m.author_id for r in records for m in r.messages})
+    account = {old: 10_000 + step * k for k, old in enumerate(ids)}
+    return [replace(r, owner_id=account[r.owner_id],
+                    messages=tuple(replace(m, author_id=account[m.author_id])
+                                   for m in r.messages))
+            for r in records]
+
+
+class TestGrowGraph:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([None, 8, 32]), st.data())
+    def test_growth_iterates_as_a_rebuild(self, step, data):
+        records = creation_ordered_corpus(step)
+        i = data.draw(st.integers(0, len(records)))
+        j = data.draw(st.integers(i, len(records)))
+        k = data.draw(st.integers(j, len(records)))
+        # every change of the corpus is in the window
+        as_of = records[-1].created_at + timedelta(days=1)
+        assert as_of - records[0].created_at < timedelta(days=365)
+        grown = collab.grow_graph(build_graph(records[i:j], as_of, 365), records[j:k])
+        assert_same_iteration_order(grown, build_graph(records[i:k], as_of, 365))
+
+    def test_no_new_pair_keeps_the_node_set(self):
+        records = creation_ordered_corpus()
+        as_of = records[-1].created_at + timedelta(days=1)
+        graph = build_graph(records, as_of)
+        repeat = next(r for r in records if r.interaction_pairs)
+        grown = collab.grow_graph(graph, [repeat])
+        assert grown.nodes is graph.nodes
+        assert grown.edges == {**graph.edges, **{
+            pair: graph.edges[pair] + 1 for pair in repeat.interaction_pairs}}
+
+
 def reference_eigenvector(graph, v):
     """The power iteration as it ran before it was memoized per component."""
     if v not in graph.nodes:
@@ -453,6 +501,47 @@ class TestEigenvectorMemo:
         for _ in range(2):
             with pytest.raises(ConvergenceFailureError):
                 eigenvector_centrality(STAR, 0)
+        collab._component_eigenvector.cache_clear()
+
+
+class TestShapeMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        collab._shape_scores.cache_clear()
+        yield
+        collab._shape_scores.cache_clear()
+
+    @pytest.mark.parametrize("window_days", [7, 30, 365])
+    def test_matches_the_metrics_along_the_sweep(self, window_days):
+        records = creation_ordered_corpus()
+        for record in records:
+            if record.closed_at is None:
+                continue
+            graph = build_graph(records, record.created_at, window_days)
+            owner = record.owner_id
+            want = metrics_tuple(graph, owner) if owner in graph.nodes \
+                else astuple(CollabFeatures())
+            assert astuple(collab_features(graph, owner)) == want
+        assert collab._shape_scores.cache_info().hits > 0
+
+    def test_same_edge_set_in_another_order_is_another_shape(self):
+        edges = [(10_000 + 8 * i, 10_000 + 8 * j)
+                 for i in range(7) for j in range(i + 1, 7) if (i * j + i) % 3]
+        first = graph_from_edges(edges)
+        second = graph_from_edges(reversed(edges))
+        assert set(first.edges) == set(second.edges)
+        assert first.shape != second.shape
+        for v in sorted(first.nodes):
+            for graph in (first, second):
+                assert astuple(collab_features(graph, v)) == metrics_tuple(graph, v)
+        assert collab._shape_scores.cache_info().misses == 2 * len(first.nodes)
+
+    def test_failure_is_raised_again_not_stored(self, monkeypatch):
+        monkeypatch.setattr(collab, "EIGENVECTOR_MAX_ITER", 1)
+        collab._component_eigenvector.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ConvergenceFailureError):
+                collab_features(STAR, 0)
         collab._component_eigenvector.cache_clear()
 
 

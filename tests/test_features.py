@@ -397,6 +397,27 @@ class TestSweep:
                            window_days=window_days)
         assert matrix.X.tobytes() == FeatureMatrix.from_vectors(expected).X.tobytes()
 
+    @pytest.mark.parametrize("window_days", [7, 365])
+    def test_graph_is_rebuilt_only_when_the_window_start_moves(
+            self, shuffled_history, window_days, monkeypatch):
+        rebuilt = []
+        build_graph = collab.build_graph
+
+        def counting(history, as_of, window_days):
+            rebuilt.append(as_of)
+            return build_graph(history, as_of, window_days)
+
+        monkeypatch.setattr(collab, "build_graph", counting)
+        featurize(shuffled_history, history=shuffled_history, window_days=window_days)
+        ordered = sort_by_creation(shuffled_history)
+        scored = [r.created_at for r in ordered if r.closed_at is not None]
+        starts = [sum(c.created_at < t - timedelta(days=window_days) for c in ordered)
+                  for t in scored]
+        moved = [t for t, before, start in zip(scored, [None, *starts], starts)
+                 if start != before]
+        assert rebuilt == moved
+        assert len(moved) < len(scored)
+
     def test_change_twice_in_history_is_rejected(self):
         history = [make_record(i, created=BASE_TIME + timedelta(days=i))
                    for i in range(1, 5)]
