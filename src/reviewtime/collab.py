@@ -7,6 +7,13 @@ unweighted simple graph.  Each metric takes a node of the graph:
 :func:`collab_features` alone scores an owner absent from the graph 0.
 A window graph grows by the changes that enter it (:func:`grow_graph`), and
 :func:`collab_features` scores each owner once per graph shape.
+
+Betweenness takes every source's distances and shortest-path counts from
+one breadth-first search over all sources at once, as products of the dense
+0/1 adjacency matrix (:func:`_shortest_paths`): O(n**3 * D) floating-point
+operations for n nodes and diameter D, and a few n-by-n arrays per call.
+Only the dependency sum, whose float order fixes the last bit, runs in
+Python, and only for the sources with vertices below the owner.
 """
 
 from __future__ import annotations
@@ -128,6 +135,36 @@ def closeness_centrality(graph: InteractionGraph, v: int) -> float:
     return (reachable / total) * (reachable / (len(graph.nodes) - 1))
 
 
+def _shortest_paths(neighbours: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and shortest-path counts between all pairs, row = source.
+
+    One breadth-first level for every source at once: ``front`` holds the
+    path counts of the vertices found at the last level, ``front @ a`` counts
+    the paths one edge longer, and an entry is new where that count is
+    positive and no distance is set yet.  Counts are integers, exact in
+    float64 below 2**53, so the order in which the product sums them does
+    not matter.  Unreachable pairs have distance -1 and count 0.
+    """
+    n = len(neighbours)
+    a = np.zeros((n, n))
+    for u, ws in enumerate(neighbours):
+        a[u, ws] = 1.0
+    dist = np.full((n, n), -1, dtype=np.int32)
+    np.fill_diagonal(dist, 0)
+    sigma = np.eye(n)
+    front = sigma
+    level = 0
+    while True:
+        paths = front @ a
+        new = (paths > 0) & (dist < 0)
+        if not new.any():
+            return dist, sigma
+        level += 1
+        dist[new] = level
+        front = np.where(new, paths, 0.0)
+        sigma = sigma + front
+
+
 def betweenness_centrality(graph: InteractionGraph, v: int) -> float:
     """Normalized shortest-path betweenness (Brandes accumulation).
 
@@ -135,15 +172,21 @@ def betweenness_centrality(graph: InteractionGraph, v: int) -> float:
     and divided by (n-1)(n-2); zero when v has fewer than two neighbours,
     which covers every n < 3.
 
-    Only v's dependency is needed, so each source's search marks v's
-    descendants in its shortest-path DAG, stops once every marked vertex is
-    expanded, and accumulates dependencies over the marked vertices alone.
-    The result is bit-identical to the full accumulation because the float
-    order is kept: sources are taken in ``graph.nodes`` order, the search
-    visits neighbours in ``graph.adjacency`` order, and each dependency
-    receives its terms ``sigma[u] / sigma[w] * (1 + delta[w])`` in reverse
-    discovery order of w.  Path counts are exact integers, so their
-    summation order is free.
+    Distances and path counts come from :func:`_shortest_paths` for all
+    sources at once.  A vertex x lies below v in source s's shortest-path
+    DAG when d(s, v) + d(v, x) == d(s, x); a source with nothing below v
+    adds exactly 0.0 and is skipped.  Each other source, taken in
+    ``graph.nodes`` order, runs a search that records only the discovery
+    order, visiting neighbours in ``graph.adjacency`` order and stopping once
+    every vertex below v is found.  The dependencies below v are then summed
+    deepest first: each parent receives its terms
+    ``sigma[u] / sigma[w] * (1 + delta[w])`` in reverse discovery order of
+    w.  That is the float order of the full Brandes loop, so the result is
+    the same to the last bit.
+
+    Cost: O(n**3 * D) floating-point operations in the matrix products, for
+    n nodes and graph diameter D, a few n-by-n arrays, and a Python search
+    per source with vertices below v.
     """
     if len(graph.adjacency[v]) < 2:
         return 0.0
@@ -151,45 +194,38 @@ def betweenness_centrality(graph: InteractionGraph, v: int) -> float:
     index = {u: i for i, u in enumerate(graph.nodes)}
     neighbours = [[index[w] for w in graph.adjacency[u]] for u in graph.nodes]
     target = index[v]
+    dist, sigma = _shortest_paths(neighbours)
+    to_target = dist[:, target]
+    below = ((to_target[:, None] + dist[target] == dist)
+             & (to_target > 0)[:, None] & (dist[target] >= 0))
     score = 0.0
-    for s in range(n):
-        if s == target:
-            continue
-        # shortest-path counts from s, marking v and its descendants
-        dist = [-1] * n
-        sigma = [0.0] * n
-        below = [False] * n
-        dist[s] = 0
-        sigma[s] = 1.0
-        below[target] = True
-        unexpanded = 1
+    # v itself is below v, so a source counts when something else is too
+    for s in np.flatnonzero(below.sum(axis=1) > 1).tolist():
+        marked = below[s].tolist()
+        remaining = marked.count(True)
+        found = []
+        seen = [False] * n
+        seen[s] = True
         order = [s]
         for u in order:
-            next_dist = dist[u] + 1
-            from_below = below[u]
             for w in neighbours[u]:
-                if dist[w] < 0:
-                    dist[w] = next_dist
+                if not seen[w]:
+                    seen[w] = True
                     order.append(w)
-                if dist[w] == next_dist:
-                    sigma[w] += sigma[u]
-                    if from_below and not below[w]:
-                        below[w] = True
-                        unexpanded += 1
-            if from_below:
-                unexpanded -= 1
-                if not unexpanded:
-                    break
-        # dependencies of the descendants, deepest first, then of v
-        delta = [0.0] * n
-        for w in reversed(order):
-            if w == target:
+                    if marked[w]:
+                        found.append(w)
+                        remaining -= 1
+            if not remaining:
                 break
-            if below[w]:
-                before = dist[w] - 1
-                for u in neighbours[w]:
-                    if dist[u] == before and below[u]:
-                        delta[u] += sigma[u] / sigma[w] * (1.0 + delta[w])
+        # v is found first, being the shallowest; dependencies deepest first
+        dist_s = dist[s].tolist()
+        sigma_s = sigma[s].tolist()
+        delta = [0.0] * n
+        for w in reversed(found[1:]):
+            before = dist_s[w] - 1
+            for u in neighbours[w]:
+                if dist_s[u] == before and marked[u]:
+                    delta[u] += sigma_s[u] / sigma_s[w] * (1.0 + delta[w])
         score += delta[target]
     return score / ((n - 1) * (n - 2))
 

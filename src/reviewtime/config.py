@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, TypeVar
 
+from .collab import DEFAULT_WINDOW_DAYS
 from .dataset import FilterPolicy
 from .errors import ConfigError
 from .evaluation import DEFAULT_REPEATS, PipelineConfig
@@ -122,8 +123,9 @@ def _run_config(doc: dict, seed_override: int | None,
         pipelines=_section(doc.get("evaluation", {}), "evaluation", _EVAL_KEYS,
                            lambda section: _evaluation(section, seed)),
         window_days=_section(doc.get("features", {}), "features", _FEATURE_KEYS,
-                             lambda section: _integer(section.get("window_days", 365),
-                                                      "window_days", 1)),
+                             lambda section: _integer(
+                                 section.get("window_days", DEFAULT_WINDOW_DAYS),
+                                 "window_days", 1)),
         out_dir=Path(out_override or doc.get("out_dir", "runs/out")),
         seed=seed,
     )

@@ -259,6 +259,19 @@ def reference_betweenness(graph, v):
     return score / ((n - 1) * (n - 2))
 
 
+def relabelled(rng, n, edges):
+    """A graph of ``edges`` on nodes 0..n-1, on random ids >= 10 000 and
+    with the edges inserted in a random order."""
+    ids = [int(i) for i in rng.choice(np.arange(10_000, 90_000), n, replace=False)]
+    order = rng.permutation(len(edges))
+    return graph_from_edges([(ids[edges[k][0]], ids[edges[k][1]]) for k in order],
+                            extra_nodes=ids)
+
+
+def gnp(rng, n, p):
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
 def labelled_graphs(seed):
     """Seeded graphs on ids >= 10 000, in a shuffled order.
 
@@ -267,27 +280,25 @@ def labelled_graphs(seed):
     graphs at p = 0.5, complete bipartite graphs and hypercubes.
     """
     rng = np.random.default_rng(seed)
-
-    def relabel(n, edges):
-        ids = [int(i) for i in rng.choice(np.arange(10_000, 90_000), n,
-                                          replace=False)]
-        order = rng.permutation(len(edges))
-        return graph_from_edges([(ids[edges[k][0]], ids[edges[k][1]])
-                                 for k in order], extra_nodes=ids)
-
-    def gnp(n, p):
-        return [(i, j) for i in range(n) for j in range(i + 1, n)
-                if rng.random() < p]
-
     for n in (12, 25, 40):
-        yield relabel(n, gnp(n, 1.2 / n))
-        yield relabel(n, gnp(n, 3.0 / n))
-        yield relabel(n, gnp(n, 0.5))
-    yield relabel(9, [(i, i + 1) for i in range(8)])
-    yield relabel(9, [(0, i) for i in range(1, 9)])
-    yield relabel(11, [(i, 5 + j) for i in range(5) for j in range(6)])
-    yield relabel(32, [(i, i ^ (1 << b)) for i in range(32) for b in range(5)
-                       if i < i ^ (1 << b)])
+        yield relabelled(rng, n, gnp(rng, n, 1.2 / n))
+        yield relabelled(rng, n, gnp(rng, n, 3.0 / n))
+        yield relabelled(rng, n, gnp(rng, n, 0.5))
+    yield relabelled(rng, 9, [(i, i + 1) for i in range(8)])
+    yield relabelled(rng, 9, [(0, i) for i in range(1, 9)])
+    yield relabelled(rng, 11, [(i, 5 + j) for i in range(5) for j in range(6)])
+    yield relabelled(rng, 32, [(i, i ^ (1 << b)) for i in range(32) for b in range(5)
+                               if i < i ^ (1 << b)])
+
+
+def wide_and_deep_graphs(rng, k):
+    """A sparse random graph of the history-wide shape (120 nodes, mean
+    degree about 5.5), and a k-by-k grid: 2k - 2 levels from a corner, with
+    up to C(2k - 2, k - 1) shortest paths between opposite corners."""
+    yield relabelled(rng, 120, gnp(rng, 120, 5.5 / 119))
+    grid = [(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)]
+    grid += [(i * k + j, (i + 1) * k + j) for i in range(k - 1) for j in range(k)]
+    yield relabelled(rng, k * k, grid)
 
 
 def corpus_graphs():
@@ -306,6 +317,14 @@ class TestBetweennessKernel:
     def test_bit_identical_on_labelled_graphs(self, seed):
         for graph in labelled_graphs(seed):
             for v in graph.nodes:
+                assert betweenness_centrality(graph, v) == \
+                    reference_betweenness(graph, v), (sorted(graph.edges), v)
+
+    @pytest.mark.parametrize("seed, k", [(0, 10), (1, 11), (2, 12)])
+    def test_bit_identical_on_wide_and_deep_graphs(self, seed, k):
+        rng = np.random.default_rng(seed)
+        for graph in wide_and_deep_graphs(rng, k):
+            for v in rng.choice(sorted(graph.nodes), 10, replace=False).tolist():
                 assert betweenness_centrality(graph, v) == \
                     reference_betweenness(graph, v), (sorted(graph.edges), v)
 
