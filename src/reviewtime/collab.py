@@ -8,12 +8,12 @@ unweighted simple graph.  Each metric takes a node of the graph:
 A window graph grows by the changes that enter it (:func:`grow_graph`), and
 :func:`collab_features` scores each owner once per graph shape.
 
-Betweenness takes every source's distances and shortest-path counts from
-one breadth-first search over all sources at once, as products of the dense
-0/1 adjacency matrix (:func:`_shortest_paths`): O(n**3 * D) floating-point
-operations for n nodes and diameter D, and a few n-by-n arrays per call.
-Only the dependency sum, whose float order fixes the last bit, runs in
-Python, and only for the sources with vertices below the owner.
+Betweenness runs the Brandes searches of a block of sources at once, one
+breadth-first level at a time over flat numpy arrays (:func:`_dependency_sums`):
+O(n * m) work for n nodes and m edges, in arrays of a bounded number of
+cells (``BETWEENNESS_BLOCK``) plus O(n + m).  It keeps the float order of
+Brandes' loop over one source at a time, so the values are the same to the
+last bit, and every node's value on a shape comes from one pass.
 """
 
 from __future__ import annotations
@@ -34,6 +34,9 @@ from .gerrit import ChangeRecord
 
 DEFAULT_WINDOW_DAYS = 365
 
+# cells one block of betweenness sources may take, n + 2m per source
+BETWEENNESS_BLOCK = 1 << 17
+
 EIGENVECTOR_TOL = 1e-10
 EIGENVECTOR_MAX_ITER = 1000
 
@@ -52,7 +55,7 @@ class InteractionGraph:
             adj[v].add(u)
         return adj
 
-    @property
+    @cached_property
     def shape(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Nodes and their neighbours in iteration order: all the metrics read."""
         adj = self.adjacency
@@ -135,99 +138,106 @@ def closeness_centrality(graph: InteractionGraph, v: int) -> float:
     return (reachable / total) * (reachable / (len(graph.nodes) - 1))
 
 
-def _shortest_paths(neighbours: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and shortest-path counts between all pairs, row = source.
-
-    One breadth-first level for every source at once: ``front`` holds the
-    path counts of the vertices found at the last level, ``front @ a`` counts
-    the paths one edge longer, and an entry is new where that count is
-    positive and no distance is set yet.  Counts are integers, exact in
-    float64 below 2**53, so the order in which the product sums them does
-    not matter.  Unreachable pairs have distance -1 and count 0.
-    """
-    n = len(neighbours)
-    a = np.zeros((n, n))
-    for u, ws in enumerate(neighbours):
-        a[u, ws] = 1.0
-    dist = np.full((n, n), -1, dtype=np.int32)
-    np.fill_diagonal(dist, 0)
-    sigma = np.eye(n)
-    front = sigma
-    level = 0
-    while True:
-        paths = front @ a
-        new = (paths > 0) & (dist < 0)
-        if not new.any():
-            return dist, sigma
-        level += 1
-        dist[new] = level
-        front = np.where(new, paths, 0.0)
-        sigma = sigma + front
-
-
 def betweenness_centrality(graph: InteractionGraph, v: int) -> float:
     """Normalized shortest-path betweenness (Brandes accumulation).
 
     Pair dependencies are summed over ordered pairs (s, t) with s, t != v
     and divided by (n-1)(n-2); zero when v has fewer than two neighbours,
-    which covers every n < 3.
-
-    Distances and path counts come from :func:`_shortest_paths` for all
-    sources at once.  A vertex x lies below v in source s's shortest-path
-    DAG when d(s, v) + d(v, x) == d(s, x); a source with nothing below v
-    adds exactly 0.0 and is skipped.  Each other source, taken in
-    ``graph.nodes`` order, runs a search that records only the discovery
-    order, visiting neighbours in ``graph.adjacency`` order and stopping once
-    every vertex below v is found.  The dependencies below v are then summed
-    deepest first: each parent receives its terms
-    ``sigma[u] / sigma[w] * (1 + delta[w])`` in reverse discovery order of
-    w.  That is the float order of the full Brandes loop, so the result is
-    the same to the last bit.
-
-    Cost: O(n**3 * D) floating-point operations in the matrix products, for
-    n nodes and graph diameter D, a few n-by-n arrays, and a Python search
-    per source with vertices below v.
+    which covers every n < 3.  Every node's sum comes from one pass over the
+    graph shape (:func:`_dependency_sums`), and the last shape's sums are
+    kept for the next owner scored on it.
     """
     if len(graph.adjacency[v]) < 2:
         return 0.0
     n = len(graph.nodes)
-    index = {u: i for i, u in enumerate(graph.nodes)}
-    neighbours = [[index[w] for w in graph.adjacency[u]] for u in graph.nodes]
-    target = index[v]
-    dist, sigma = _shortest_paths(neighbours)
-    to_target = dist[:, target]
-    below = ((to_target[:, None] + dist[target] == dist)
-             & (to_target > 0)[:, None] & (dist[target] >= 0))
-    score = 0.0
-    # v itself is below v, so a source counts when something else is too
-    for s in np.flatnonzero(below.sum(axis=1) > 1).tolist():
-        marked = below[s].tolist()
-        remaining = marked.count(True)
-        found = []
-        seen = [False] * n
-        seen[s] = True
-        order = [s]
-        for u in order:
-            for w in neighbours[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
-                    if marked[w]:
-                        found.append(w)
-                        remaining -= 1
-            if not remaining:
-                break
-        # v is found first, being the shallowest; dependencies deepest first
-        dist_s = dist[s].tolist()
-        sigma_s = sigma[s].tolist()
-        delta = [0.0] * n
-        for w in reversed(found[1:]):
-            before = dist_s[w] - 1
-            for u in neighbours[w]:
-                if dist_s[u] == before and marked[u]:
-                    delta[u] += sigma_s[u] / sigma_s[w] * (1.0 + delta[w])
-        score += delta[target]
-    return score / ((n - 1) * (n - 2))
+    return _dependency_sums(graph.shape)[v] / ((n - 1) * (n - 2))
+
+
+@lru_cache(maxsize=1)
+def _dependency_sums(shape: tuple) -> dict[int, float]:
+    """Each node's dependencies summed over the other sources, in node order.
+
+    The sources run in blocks (:func:`_source_dependencies`) of as many as
+    keep a block within ``BETWEENNESS_BLOCK`` cells, each source taking one
+    per node and one per directed edge.  The sums add the sources' rows in
+    node order, one after another, as a loop over the sources adds them.
+    """
+    n = len(shape)
+    index = {u: i for i, (u, _) in enumerate(shape)}
+    degree = np.fromiter((len(ws) for _, ws in shape), dtype=np.intp, count=n)
+    starts = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(degree, out=starts[1:])
+    heads = np.fromiter((index[w] for _, ws in shape for w in ws),
+                        dtype=np.intp, count=int(starts[-1]))
+    sums = np.zeros(n)
+    block = max(1, BETWEENNESS_BLOCK // (n + len(heads)))
+    for first in range(0, n, block):
+        dependencies = _source_dependencies(
+            np.arange(first, min(n, first + block)), degree, starts, heads)
+        dependencies[0] += sums
+        sums = np.add.accumulate(dependencies)[-1]
+    return dict(zip(index, sums.tolist()))
+
+
+def _source_dependencies(sources: np.ndarray, degree: np.ndarray,
+                         starts: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Brandes dependencies of every node on each source, a row per source.
+
+    Node x in the row of the r-th source is cell r*n + x, and the searches
+    from all the sources advance one level at a time.  A level's front is in
+    discovery order, and its out-edges are taken in that order and then in
+    adjacency order (node x's neighbours are ``heads[starts[x]:starts[x+1]]``).
+    A node is found at its first appearance among them, and its path count
+    receives its parents' counts in that order, as in a one-source search.
+    The edges back to the level before are the level's shortest-path DAG
+    edges.  The dependencies run over them deepest level first and child in
+    reverse discovery order, so each parent receives its terms
+    ``sigma[u] / sigma[w] * (1 + delta[w])`` in the float order of the
+    one-source loop, and every value is the same to the last bit.
+
+    Each (source, directed edge) pair is looked at once: O(b * m) work for b
+    sources and m edges, in arrays of O(b * (n + m)) cells.  A source's own
+    cell is 0.
+    """
+    n, b = len(degree), len(sources)
+    rows = np.arange(b) * n
+    dist = np.full(b * n, -1, dtype=np.intp)
+    sigma = np.zeros(b * n)
+    found_at = np.full(b * n, np.iinfo(np.intp).max, dtype=np.intp)
+    front = rows + sources
+    dist[front] = 0
+    sigma[front] = 1.0
+    children, parents = [], []
+    level = 0
+    while front.size:
+        nodes = front % n
+        counts = degree[nodes]
+        ends = np.cumsum(counts)
+        # the front position each out-edge leaves from, and the edge's head
+        at = np.repeat(np.arange(front.size), counts)
+        head = (heads[np.arange(ends[-1]) + (starts[nodes] - ends + counts)[at]]
+                + (front - nodes)[at])
+        reached = dist[head]
+        if level:
+            up = np.flatnonzero(reached == level - 1)
+            children.append(front[at[up]])
+            parents.append(head[up])
+        new = np.flatnonzero(reached < 0)
+        tail = front[at[new]]
+        head = head[new]
+        level += 1
+        position = np.arange(head.size)
+        np.minimum.at(found_at, head, position)
+        front = head[np.flatnonzero(found_at[head] == position)]
+        dist[front] = level
+        np.add.at(sigma, head, sigma[tail])
+    delta = np.zeros(b * n)
+    for child, parent in zip(reversed(children), reversed(parents)):
+        child, parent = child[::-1], parent[::-1]
+        np.add.at(delta, parent,
+                  sigma[parent] / sigma[child] * (1.0 + delta[child]))
+    delta[rows + sources] = 0.0
+    return delta.reshape(b, n)
 
 
 def eigenvector_centrality(graph: InteractionGraph, v: int) -> float:

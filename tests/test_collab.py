@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import deque
 from dataclasses import astuple, replace
 from datetime import timedelta
@@ -327,6 +328,40 @@ class TestBetweennessKernel:
             for v in rng.choice(sorted(graph.nodes), 10, replace=False).tolist():
                 assert betweenness_centrality(graph, v) == \
                     reference_betweenness(graph, v), (sorted(graph.edges), v)
+
+    @pytest.mark.parametrize("per_block", [1, 2, 7])
+    def test_blocks_of_sources_keep_the_bits(self, monkeypatch, per_block):
+        # blocks of per_block sources each, and a fresh pass for each graph
+        for graph in labelled_graphs(0):
+            n = len(graph.nodes)
+            monkeypatch.setattr(collab, "BETWEENNESS_BLOCK",
+                                per_block * (n + 2 * len(graph.edges)))
+            collab._dependency_sums.cache_clear()
+            for v in graph.nodes:
+                assert betweenness_centrality(graph, v) == \
+                    reference_betweenness(graph, v), (sorted(graph.edges), v)
+
+    def test_bit_identical_on_a_graph_of_250_nodes(self):
+        rng = np.random.default_rng(5)
+        graph = relabelled(rng, 250, gnp(rng, 250, 6 / 249))
+        for v in rng.choice(sorted(graph.nodes), 2, replace=False).tolist():
+            assert betweenness_centrality(graph, v) == reference_betweenness(graph, v)
+
+    def test_memory_stays_below_one_node_by_node_array(self):
+        rng = np.random.default_rng(6)
+        n = 1200
+        graph = relabelled(rng, n, gnp(rng, n, 6 / (n - 1)))
+        v = max(graph.nodes, key=lambda u: len(graph.adjacency[u]))
+        graph.shape  # the graph's own, built before tracing
+        collab._dependency_sums.cache_clear()
+        tracemalloc.start()
+        try:
+            betweenness_centrality(graph, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block of sources is bounded; one n-by-n float array is n * n * 8
+        assert peak < n * n * 8 / 2
 
     def test_bit_identical_on_corpus_graphs(self):
         graphs = list(corpus_graphs())
