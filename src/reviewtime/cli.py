@@ -75,10 +75,20 @@ def cmd_filter(config: RunConfig, args) -> None:
           f"-> {out / 'filtered.jsonl'}")
 
 
+def _featurize_inputs(args) -> tuple[list[gerrit.ChangeRecord],
+                                     list[gerrit.ChangeRecord] | None]:
+    """The records to score and the history.  Each distinct line is decoded
+    once: a history line that repeats an input line byte for byte gives the
+    input's record object (the pipeline's filtered records are crawl lines)."""
+    lines: dict[bytes, gerrit.ChangeRecord] = {}
+    records, _ = ds.read_dataset(args.input, lines=lines)
+    history = ds.read_dataset(args.history, lines=lines)[0] if args.history else None
+    return records, history
+
+
 def cmd_featurize(config: RunConfig, args) -> dict:
     out = config.out_dir
-    records, _ = ds.read_dataset(args.input)
-    history = ds.read_dataset(args.history)[0] if args.history else None
+    records, history = _featurize_inputs(args)
     matrix = featurize(records, history=history, window_days=config.window_days,
                        policy=config.keywords)
     matrix.to_csv(out / "features.csv")

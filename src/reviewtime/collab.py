@@ -39,10 +39,15 @@ BETWEENNESS_BLOCK = 1 << 17
 
 EIGENVECTOR_TOL = 1e-10
 EIGENVECTOR_MAX_ITER = 1000
+# power-iteration steps taken between two convergence tests
+EIGENVECTOR_BLOCK = 8
 
 
 @dataclass(frozen=True)
 class InteractionGraph:
+    """Each cached property below depends on the node set and the edge keys
+    in their iteration order, not on the weights: a growth that adds no new
+    pair hands them on (:func:`grow_graph`)."""
     nodes: frozenset[int]
     edges: dict[tuple[int, int], int]  # key is the sorted node pair
 
@@ -60,6 +65,48 @@ class InteractionGraph:
         """Nodes and their neighbours in iteration order: all the metrics read."""
         adj = self.adjacency
         return tuple((u, tuple(adj[u])) for u in self.nodes)
+
+    @cached_property
+    def components(self) -> dict[int, tuple[tuple[int, ...], frozenset[tuple[int, int]]]]:
+        """Each node's connected component, sorted, and the component's edges
+        as sorted pairs."""
+        adj = self.adjacency
+        found: dict[int, tuple[tuple[int, ...], frozenset[tuple[int, int]]]] = {}
+        for v in self.nodes:
+            if v not in found:
+                component = tuple(sorted(_bfs_distances(adj, v)))
+                edges = frozenset((u, w) for u in component for w in adj[u] if u < w)
+                found.update(dict.fromkeys(component, (component, edges)))
+        return found
+
+    @cached_property
+    def cores(self) -> dict[int, int]:
+        """Each node's core number: the largest k such that the node survives
+        iterative removal of the nodes of degree < k."""
+        adj = self.adjacency
+        degrees = {u: len(ns) for u, ns in adj.items()}
+        cores: dict[int, int] = {}
+        remaining = set(adj)
+        k = 0
+        while remaining:
+            k = max(k, min(degrees[u] for u in remaining))
+            peel = [u for u in remaining if degrees[u] <= k]
+            while peel:
+                u = peel.pop()
+                if u not in remaining:
+                    continue
+                cores[u] = k
+                remaining.discard(u)
+                for w in adj[u]:
+                    if w in remaining:
+                        degrees[w] -= 1
+                        if degrees[w] <= k:
+                            peel.append(w)
+        return cores
+
+
+# what a growth without a new pair hands on to the grown graph
+_SHAPE_STATE = ("adjacency", "shape", "components", "cores")
 
 
 @dataclass(frozen=True)
@@ -101,9 +148,15 @@ def grow_graph(graph: InteractionGraph,
     weights = Counter(graph.edges)
     weights.update(chain.from_iterable(change.interaction_pairs
                                        for change in changes))
-    nodes = (graph.nodes if len(weights) == len(graph.edges)
-             else frozenset(set(chain.from_iterable(weights))))
-    return InteractionGraph(nodes=nodes, edges=dict(weights))
+    if len(weights) > len(graph.edges):
+        return InteractionGraph(nodes=frozenset(set(chain.from_iterable(weights))),
+                                edges=dict(weights))
+    # no new pair: the same nodes and edge keys in the same order, so the
+    # shape and what is derived from it carry over
+    grown = InteractionGraph(nodes=graph.nodes, edges=dict(weights))
+    state = vars(graph)
+    vars(grown).update((name, state[name]) for name in _SHAPE_STATE if name in state)
+    return grown
 
 
 def _bfs_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:
@@ -253,11 +306,9 @@ def eigenvector_centrality(graph: InteractionGraph, v: int) -> float:
     owner's component, so the last solve is kept and reused; a failed solve
     raises and is not kept.
     """
-    adj = graph.adjacency
-    if not adj[v]:
+    if not graph.adjacency[v]:
         return 0.0
-    component = tuple(sorted(_bfs_distances(adj, v)))
-    edges = frozenset((u, w) for u in component for w in adj[u] if u < w)
+    component, edges = graph.components[v]
     x = _component_eigenvector(component, edges)
     return float(x[bisect_left(component, v)] / x.max())
 
@@ -268,8 +319,13 @@ def _component_eigenvector(component: tuple[int, ...],
     """Absolute damped power-iteration vector, in sorted component order.
 
     Every node of a connected component of two or more nodes has a
-    neighbour, so the iterate stays positive and no norm is zero.  Cache
-    hits share the returned array, so it is read-only.
+    neighbour, so the iterate stays positive and no norm is zero.  The
+    damped step ``0.5 * x + 0.5 * y`` is taken as ``x + y``: halving commutes
+    with rounding and the normalisation cancels it, so the iterates are the
+    same to the last bit.  The iterates of a block of
+    ``EIGENVECTOR_BLOCK`` steps are tested for convergence together, and the
+    first that converged is the result.  Cache hits share the returned
+    array, so it is read-only.
     """
     index = {u: i for i, u in enumerate(component)}
     m = len(component)
@@ -278,16 +334,21 @@ def _component_eigenvector(component: tuple[int, ...],
         a[index[u], index[w]] = 1.0
         a[index[w], index[u]] = 1.0
     x = np.full(m, 1.0 / np.sqrt(m))
-    for _ in range(EIGENVECTOR_MAX_ITER):
-        y = a @ x
-        y /= math.sqrt(y.dot(y))
-        x_new = 0.5 * x + 0.5 * y
-        x_new /= math.sqrt(x_new.dot(x_new))
-        if np.abs(x_new - x).max() < EIGENVECTOR_TOL:
-            x = np.abs(x_new)
+    for done in range(0, EIGENVECTOR_MAX_ITER, EIGENVECTOR_BLOCK):
+        iterates = [x]
+        for _ in range(min(EIGENVECTOR_BLOCK, EIGENVECTOR_MAX_ITER - done)):
+            y = a @ x
+            y /= math.sqrt(y.dot(y))
+            y += x
+            y /= math.sqrt(y.dot(y))
+            iterates.append(y)
+            x = y
+        steps = np.abs(np.diff(iterates, axis=0)).max(axis=1)
+        converged = np.flatnonzero(steps < EIGENVECTOR_TOL)
+        if converged.size:
+            x = np.abs(iterates[converged[0] + 1])
             x.flags.writeable = False
             return x
-        x = x_new
     raise ConvergenceFailureError(
         f"eigenvector iteration did not converge in {EIGENVECTOR_MAX_ITER} steps"
     )
@@ -308,30 +369,7 @@ def clustering_coefficient(graph: InteractionGraph, v: int) -> float:
 
 def core_number(graph: InteractionGraph, v: int) -> int:
     """Largest k such that v survives iterative removal of degree < k vertices."""
-    return core_numbers(graph)[v]
-
-
-def core_numbers(graph: InteractionGraph) -> dict[int, int]:
-    adj = graph.adjacency
-    degrees = {u: len(ns) for u, ns in adj.items()}
-    cores: dict[int, int] = {}
-    remaining = set(adj)
-    k = 0
-    while remaining:
-        k = max(k, min(degrees[u] for u in remaining))
-        peel = [u for u in remaining if degrees[u] <= k]
-        while peel:
-            u = peel.pop()
-            if u not in remaining:
-                continue
-            cores[u] = k
-            remaining.discard(u)
-            for w in adj[u]:
-                if w in remaining:
-                    degrees[w] -= 1
-                    if degrees[w] <= k:
-                        peel.append(w)
-    return cores
+    return graph.cores[v]
 
 
 def collab_features(graph: InteractionGraph, owner: int) -> CollabFeatures:

@@ -135,7 +135,9 @@ def parse_timestamp(value: str | None) -> datetime | None:
     if not isinstance(value, str) or not _TIMESTAMP.fullmatch(value):
         raise ValueError(f"timestamp {value!r} is not of the form "
                          "YYYY-MM-DDTHH:MM:SS.ffffffZ")
-    return datetime.fromisoformat(value[:-1]).replace(tzinfo=timezone.utc)
+    # an explicit offset, not the Z that fromisoformat reads only from 3.11 on;
+    # it gives timezone.utc, faster than a replace(tzinfo=...) call
+    return datetime.fromisoformat(value[:-1] + "+00:00")
 
 
 def _to_json(value):
@@ -231,6 +233,41 @@ _DECODERS = {
 }
 
 
+# A record line is its ChangeRecord as one JSON object with sorted keys: a
+# field per key, the files and messages as objects of their own, timestamps
+# by format_timestamp.  The writer names every field, where a json.dumps hook
+# would look each dataclass's fields up; a test holds it to the bytes of that
+# hook.  Lines are read back by _from_json.
+
+def _file_json(f: FileDiff) -> dict:
+    return {"lines_deleted": f.lines_deleted, "lines_inserted": f.lines_inserted,
+            "path": f.path, "segments": f.segments}
+
+
+def _message_json(m: ReviewMessage) -> dict:
+    return {"author_id": m.author_id, "author_name": m.author_name,
+            "from_bot": m.from_bot, "posted_at": format_timestamp(m.posted_at),
+            "revision_number": m.revision_number, "text": m.text}
+
+
+def _record_line(r: ChangeRecord) -> str:
+    """The record's line of a dataset file, its newline included."""
+    return json.dumps({
+        "branch": r.branch, "change_id": r.change_id,
+        "closed_at": format_timestamp(r.closed_at),
+        "created_at": format_timestamp(r.created_at),
+        "deletions_total": r.deletions_total,
+        "files": [_file_json(f) for f in r.files],
+        "insertions_total": r.insertions_total,
+        "message_body": r.message_body,
+        "messages": [_message_json(m) for m in r.messages],
+        "number": r.number, "owner_id": r.owner_id, "owner_name": r.owner_name,
+        "owner_tz_offset_minutes": r.owner_tz_offset_minutes,
+        "project": r.project, "reopened": r.reopened, "status": r.status,
+        "subject": r.subject, "tz_offset_missing": r.tz_offset_missing,
+    }, sort_keys=True) + "\n"
+
+
 def manifest_path(data_path: Path) -> Path:
     return Path(data_path).parent / MANIFEST_NAME
 
@@ -258,7 +295,7 @@ def dataset_appender(path: str | Path):
     path = Path(path)
     with path.open("a", encoding="utf-8") as fh:
         def append(record: ChangeRecord) -> None:
-            fh.write(json.dumps(record, sort_keys=True, default=_to_json) + "\n")
+            fh.write(_record_line(record))
             fh.flush()
         yield append
 
@@ -273,7 +310,7 @@ def write_dataset(records: Iterable[ChangeRecord], path: str | Path, *,
     first_project = project
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True, default=_to_json) + "\n")
+            fh.write(_record_line(record))
             count += 1
             if not first_project:
                 first_project = record.project
@@ -290,17 +327,30 @@ def write_dataset(records: Iterable[ChangeRecord], path: str | Path, *,
     return manifest
 
 
-def read_dataset(path: str | Path) -> tuple[list[ChangeRecord], DatasetManifest]:
+def read_dataset(path: str | Path, *, lines: dict[bytes, ChangeRecord] | None = None,
+                 ) -> tuple[list[ChangeRecord], DatasetManifest]:
+    """The records of a JSONL dataset file, in file order, and its manifest.
+
+    A malformed line is a SchemaError naming the file and the line.  With
+    ``lines``, a line whose bytes it holds gives that record object, not one
+    decoded again, and each line decoded is added to it.
+    """
     path = Path(path)
     records: list[ChangeRecord] = []
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            # bytes that are not UTF-8 and text that is not JSON are ValueErrors
-            try:
-                line = line.decode("utf-8").strip()
-                if line:
-                    records.append(_from_json(ChangeRecord, json.loads(line)))
-            except (SchemaError, ValueError, TypeError, AttributeError) as exc:
-                raise SchemaError(f"{path} line {lineno}: {exc}") from exc
+            record = None if lines is None else lines.get(line)
+            if record is None:
+                # bytes that are not UTF-8 and text that is not JSON are ValueErrors
+                try:
+                    text = line.decode("utf-8").strip()
+                    if not text:
+                        continue
+                    record = _from_json(ChangeRecord, json.loads(text))
+                except (SchemaError, ValueError, TypeError, AttributeError) as exc:
+                    raise SchemaError(f"{path} line {lineno}: {exc}") from exc
+                if lines is not None:
+                    lines[line] = record
+            records.append(record)
     manifest = read_manifest(path)
     return records, manifest

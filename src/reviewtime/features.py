@@ -8,9 +8,10 @@ graph snapshot taken at the change's creation time.
 
 from __future__ import annotations
 
+import csv
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -18,8 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import collab
-from .dataset import (completion_time_hours, parse_timestamp, read_table,
-                      sort_by_creation, write_table)
+from .dataset import (completion_time_hours, format_timestamp, parse_timestamp,
+                      read_table, sort_by_creation)
 from .errors import EmptyInputError, SchemaError
 from .gerrit import ChangeRecord, ChangeStatus, check_field_types
 
@@ -162,10 +163,17 @@ class FeatureMatrix:
                              self.change_numbers, self.created_at)
 
     def to_csv(self, path: str | Path) -> None:
-        write_table(path, (*_CSV_HEAD, *self.feature_names),
-                    ((number, created, y, *x) for number, created, y, x in zip(
-                        self.change_numbers.tolist(), self.created_at,
-                        self.y.tolist(), self.X.tolist())))
+        """The table :func:`dataset.write_table` would write: a row is the change
+        number, the timestamp and ``repr`` of each float, none of which a CSV
+        cell quotes, so the rows are written as they are."""
+        with Path(path).open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerow((*_CSV_HEAD, *self.feature_names))
+            fh.writelines(
+                ",".join((str(number), format_timestamp(created), repr(y),
+                          *map(repr, x))) + "\r\n"
+                for number, created, y, x in zip(
+                    self.change_numbers.tolist(), self.created_at,
+                    self.y.tolist(), self.X.tolist()))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureMatrix":
@@ -188,11 +196,19 @@ def dimension_features(dimension: str) -> tuple[str, ...]:
 
 
 def _quadruple(values: Sequence[float]) -> tuple[float, float, float, float]:
-    """(min, max, mean, population std); all zeros on empty support."""
+    """(min, max, mean, population std); all zeros on empty support.
+
+    The mean and the std are numpy's ``mean`` and ``std`` spelled out: the
+    same pairwise sums and the same divisions, so the same bits, without
+    their per-call bookkeeping.
+    """
     if not values:
         return 0.0, 0.0, 0.0, 0.0
     arr = np.asarray(values, dtype=float)
-    return float(arr.min()), float(arr.max()), float(arr.mean()), float(arr.std())
+    mean = float(arr.sum()) / len(arr)
+    deviations = arr - mean
+    return (float(arr.min()), float(arr.max()), mean,
+            math.sqrt(float((deviations * deviations).sum()) / len(arr)))
 
 
 def subsystem_of(path: str) -> str:
@@ -285,6 +301,25 @@ def extract_text_features(record: ChangeRecord,
     }
 
 
+class _OwnerTotals:
+    """One owner's prior changes, summed as they enter a :class:`PriorHistory`."""
+
+    def __init__(self):
+        self.merged = self.abandoned = 0
+        self.own_messages = self.exchanged = 0  # human messages: the owner's, all
+        self.hours: list[float] = []
+        self.messages: list[int] = []  # human messages per change
+
+    def add(self, status: ChangeStatus, hours: float, messages: int,
+            own_messages: int) -> None:
+        self.merged += status is ChangeStatus.MERGED
+        self.abandoned += status is ChangeStatus.ABANDONED
+        self.own_messages += own_messages
+        self.exchanged += messages
+        self.hours.append(hours)
+        self.messages.append(messages)
+
+
 class PriorHistory:
     """Completed changes created before a record, indexed by owner, subsystem,
     path and participant.
@@ -292,17 +327,16 @@ class PriorHistory:
     Changes enter only through :meth:`add` and keep the position at which
     they entered; each index lists positions in that order, so every
     aggregate reads its changes in entry order (creation order in
-    :func:`featurize`).  Completion hours and message counts are derived once
-    per change.  ``len`` counts the changes added.
+    :func:`featurize`).  Each owner's counts and per-change lists are summed
+    as its changes enter (``owner_totals``).  ``len`` counts the changes
+    added.
     """
 
     def __init__(self, changes: Iterable[ChangeRecord] = ()):
         self.owners: list[int] = []
-        self.statuses: list[ChangeStatus] = []
         self.hours: list[float] = []
-        self.human_messages: list[int] = []
-        self.owner_messages: list[int] = []
         self.by_owner: dict[int, list[int]] = {}
+        self.owner_totals: dict[int, _OwnerTotals] = {}
         self.by_subsystem: dict[str, list[int]] = {}
         self.by_path: dict[str, list[int]] = {}
         self.by_participant: dict[int, list[int]] = {}
@@ -315,13 +349,15 @@ class PriorHistory:
     def add(self, change: ChangeRecord) -> None:
         position = len(self.owners)
         owner = change.owner_id
+        hours = completion_time_hours(change)
         human = [m for m in change.messages if not m.from_bot]
         self.owners.append(owner)
-        self.statuses.append(change.status)
-        self.hours.append(completion_time_hours(change))
-        self.human_messages.append(len(human))
-        self.owner_messages.append(sum(1 for m in human if m.author_id == owner))
+        self.hours.append(hours)
         self.by_owner.setdefault(owner, []).append(position)
+        if owner not in self.owner_totals:
+            self.owner_totals[owner] = _OwnerTotals()
+        self.owner_totals[owner].add(change.status, hours, len(human),
+                                     sum(1 for m in human if m.author_id == owner))
         for subsystem in {subsystem_of(f.path) for f in change.files}:
             self.by_subsystem.setdefault(subsystem, []).append(position)
         for path in {f.path for f in change.files}:
@@ -349,19 +385,15 @@ def extract_owner_experience(record: ChangeRecord,
     prior = _as_prior_history(prior_history)
     owner = record.owner_id
     own = prior.by_owner.get(owner, [])
-    merged = sum(1 for p in own if prior.statuses[p] is ChangeStatus.MERGED)
-    abandoned = sum(1 for p in own if prior.statuses[p] is ChangeStatus.ABANDONED)
+    totals = prior.owner_totals.get(owner) or _OwnerTotals()
+    merged, abandoned = totals.merged, totals.abandoned
 
     subsystem_changes = _positions(prior.by_subsystem,
                                    {subsystem_of(f.path) for f in record.files})
     own_subsystem = sum(1 for p in own if p in subsystem_changes)
 
-    dur_quad = _quadruple([prior.hours[p] for p in own])
-
+    dur_quad, msg_quad = _quadruple(totals.hours), _quadruple(totals.messages)
     reviewed = len(prior.by_participant.get(owner, ()))
-    own_messages = sum(prior.owner_messages[p] for p in own)
-    exchanged_per_change = [prior.human_messages[p] for p in own]
-    msg_quad = _quadruple(exchanged_per_change)
 
     values = {
         "#owner_prior_changes": float(len(own)),
@@ -373,8 +405,8 @@ def extract_owner_experience(record: ChangeRecord,
         "prior_owner_subsystem_changes_ratio":
             own_subsystem / len(own) if own else 0.0,
         "#reviewed_changes_owner": float(reviewed),
-        "#owner_previous_message": float(own_messages),
-        "#owner_exchanged_messages": float(sum(exchanged_per_change)),
+        "#owner_previous_message": float(totals.own_messages),
+        "#owner_exchanged_messages": float(totals.exchanged),
     }
     for suffix, value in zip(_QUAD, dur_quad):
         values[f"prior_code_reviews_duration_{suffix}"] = value
@@ -418,7 +450,7 @@ def _assemble(record: ChangeRecord, graph: collab.InteractionGraph,
     """The one place that puts the 50 values in ``FEATURE_NAMES`` order."""
     values: dict[str, float] = {}
     values.update(extract_date_features(record))
-    values.update(asdict(collab.collab_features(graph, record.owner_id)))
+    values.update(vars(collab.collab_features(graph, record.owner_id)))
     values.update(extract_code_features(record))
     values.update(extract_text_features(record, policy))
     values.update(extract_owner_experience(record, prior))

@@ -74,9 +74,11 @@ _SCALARS = {
 
 
 @cache
-def _field_tests(cls: type) -> dict[str, tuple[Callable[[Any], bool], str]]:
+def _field_tests(cls: type,
+                 ) -> dict[str, tuple[tuple[type, ...], Callable[[Any], bool], str]]:
     """For each field of ``cls`` typed a scalar or a tuple of one, either
-    perhaps ``| None``: the test its values pass, and what they must be."""
+    perhaps ``| None``: the types whose values pass as they are, the test
+    any other value must pass, and what the values must be."""
     tests = {}
     for name, hint in get_type_hints(cls).items():
         args = get_args(hint)
@@ -92,14 +94,17 @@ def _field_tests(cls: type) -> dict[str, tuple[Callable[[Any], bool], str]]:
             def test(v, item=item, size=size):
                 return (isinstance(v, (list, tuple)) and size in (0, len(v))
                         and all(map(item, v)))
+            exact = ()
             what = f"a list of {size} {many}" if size else f"a list of {many}"
         elif hint in _SCALARS:
             test, what, _ = _SCALARS[hint]
+            exact = (int, float) if hint is float else (hint,)
         else:
             continue
         if nullable:
             test, what = (lambda v, test=test: v is None or test(v)), f"{what} or null"
-        tests[name] = test, what
+            exact += (type(None),)
+        tests[name] = exact, test, what
     return tests
 
 
@@ -110,10 +115,11 @@ def check_field_types(cls: type, values: Mapping[str, Any]) -> None:
     or a float; ``str`` and ``bool`` fields exactly that type; ``X | None``
     also null; and a tuple field of scalars a list or tuple of them, of the
     annotation's length when it fixes one.  Other field types are left to
-    their constructors, and absent names to the dataclass.
+    their constructors, and absent names to the dataclass.  A value of
+    exactly such a type passes without its field's test.
     """
-    for name, (test, what) in _field_tests(cls).items():
-        if name in values and not test(values[name]):
+    for name, (exact, test, what) in _field_tests(cls).items():
+        if name in values and type(values[name]) not in exact and not test(values[name]):
             raise ValueError(f"{name} must be {what}, got {values[name]!r}")
 
 
@@ -252,11 +258,25 @@ def parse_gerrit_json(body: bytes) -> Any:
         raise MalformedJsonError(f"response is not valid JSON: {exc}") from exc
 
 
+_GERRIT_TIMESTAMP = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2}) "
+                               r"([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.([0-9]*))?")
+
+
 def parse_gerrit_timestamp(value: str) -> datetime:
     """Parse Gerrit's 'YYYY-MM-DD HH:MM:SS.nnnnnnnnn' UTC format.
 
-    Nanosecond digits beyond microseconds are truncated, not rounded.
+    Nanosecond digits beyond microseconds are truncated, not rounded.  The
+    canonical shape is read from its digits; any other string, and a date or time
+    out of range, goes to ``strptime``, which accepts and rejects what it
+    always did (``2020-1-6 8:0:0`` is accepted) and words the error.
     """
+    if isinstance(value, str) and (match := _GERRIT_TIMESTAMP.fullmatch(value)):
+        *fields, frac = match.groups()
+        try:
+            return datetime(*map(int, fields), int(frac[:6].ljust(6, "0")) if frac else 0,
+                            timezone.utc)
+        except ValueError:
+            pass
     main, _, frac = value.partition(".")
     dt = datetime.strptime(main, "%Y-%m-%d %H:%M:%S")
     micros = int(frac[:6].ljust(6, "0")) if frac else 0

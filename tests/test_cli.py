@@ -19,7 +19,7 @@ import requests
 from conftest import make_message, make_record, synthetic_matrix
 
 from reviewtime import dataset as ds
-from reviewtime import gerrit
+from reviewtime import cli, gerrit
 from reviewtime.cli import build_parser, main
 from reviewtime.config import load_run_config
 from reviewtime.errors import ConfigError
@@ -868,3 +868,34 @@ class TestMalformedInput:
         assert main(["report", "--config", str(config_path)]) == 1
         err = capsys.readouterr().err
         assert "SchemaError" in err and str(out / "eval_summary.json") in err
+
+
+def test_featurize_decodes_an_input_line_of_the_history_once(tmp_path, monkeypatch):
+    crawl = gerrit.CrawlConfig(base_url="http://fixture.invalid")
+    changes = [gerrit.normalize_change(gerrit.RawChange(doc, datetime(2020, 1, 1,
+                                                                      tzinfo=timezone.utc)),
+                                       crawl)
+               for doc in generate_corpus(60, seed=3)]
+    history_path, input_path = tmp_path / "history" / "c.jsonl", tmp_path / "in" / "f.jsonl"
+    ds.write_dataset(changes, history_path)
+    kept, _ = ds.apply_filters(changes, ds.FilterPolicy())
+    ds.write_dataset(ds.sort_by_creation(kept), input_path)
+    seen = {}
+    featurize = cli.featurize
+
+    def spy(records, history=None, **keywords):
+        seen.update(records=records, history=history)
+        return featurize(records, history=history, **keywords)
+
+    monkeypatch.setattr(cli, "featurize", spy)
+    config_path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+    assert main(["featurize", "--config", str(config_path), "--in", str(input_path),
+                 "--history", str(history_path)]) == 0
+    assert 0 < len(seen["records"]) < len(seen["history"])
+    by_number = {r.number: r for r in seen["history"]}
+    assert all(r is by_number[r.number] for r in seen["records"])
+
+    featurize(ds.read_dataset(input_path)[0], history=ds.read_dataset(history_path)[0]
+              ).to_csv(tmp_path / "apart.csv")
+    assert (tmp_path / "out" / "features.csv").read_bytes() \
+        == (tmp_path / "apart.csv").read_bytes()

@@ -558,6 +558,73 @@ class TestEigenvectorMemo:
         collab._component_eigenvector.cache_clear()
 
 
+# a path of four nodes: the power iteration converges in 19 steps, more than
+# one block and not a multiple of one
+PATH4 = graph_from_edges([(1, 2), (2, 3), (3, 4)])
+PATH4_STEPS = 19
+
+
+class TestEigenvectorBlocks:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        collab._component_eigenvector.cache_clear()
+        yield
+        collab._component_eigenvector.cache_clear()
+
+    def test_the_reference_needs_the_steps_named(self, monkeypatch):
+        assert PATH4_STEPS > collab.EIGENVECTOR_BLOCK
+        assert PATH4_STEPS % collab.EIGENVECTOR_BLOCK > 1
+        monkeypatch.setattr(collab, "EIGENVECTOR_MAX_ITER", PATH4_STEPS)
+        reference_eigenvector(PATH4, 1)
+        monkeypatch.setattr(collab, "EIGENVECTOR_MAX_ITER", PATH4_STEPS - 1)
+        with pytest.raises(ConvergenceFailureError):
+            reference_eigenvector(PATH4, 1)
+
+    def test_a_solve_longer_than_a_block_keeps_the_bits(self):
+        for v in sorted(PATH4.nodes):
+            assert eigenvector_centrality(PATH4, v) == reference_eigenvector(PATH4, v)
+
+    @pytest.mark.parametrize("cap", [PATH4_STEPS, PATH4_STEPS + 1, PATH4_STEPS - 1])
+    def test_a_cap_within_a_block_counts_steps(self, monkeypatch, cap):
+        monkeypatch.setattr(collab, "EIGENVECTOR_MAX_ITER", cap)
+        if cap < PATH4_STEPS:
+            with pytest.raises(ConvergenceFailureError):
+                eigenvector_centrality(PATH4, 1)
+        else:
+            assert eigenvector_centrality(PATH4, 1) == reference_eigenvector(PATH4, 1)
+
+
+class TestShapeState:
+    def test_no_new_pair_hands_the_shape_state_on(self):
+        records = creation_ordered_corpus()
+        graph = build_graph(records, records[-1].created_at + timedelta(days=1))
+        owner = next(iter(graph.nodes))
+        collab_features(graph, owner)
+        repeat = next(r for r in records if r.interaction_pairs)
+        grown = collab.grow_graph(graph, [repeat])
+        for name in ("adjacency", "shape", "components", "cores"):
+            assert getattr(grown, name) is getattr(graph, name)
+
+    def test_a_new_pair_starts_a_new_shape(self):
+        graph = graph_from_edges([(1, 2), (2, 3)])
+        assert graph.cores == {1: 1, 2: 1, 3: 1}
+        grown = collab.grow_graph(graph, [make_record(
+            9, owner=1, created=BASE_TIME, messages=(make_message(3),))])
+        assert grown.shape != graph.shape
+        assert grown.cores == {1: 2, 2: 2, 3: 2}
+        assert grown.components[1] == ((1, 2, 3), frozenset({(1, 2), (2, 3), (1, 3)}))
+
+    def test_components_and_cores_match_the_oracles(self):
+        for graph in labelled_graphs(0):
+            for v in graph.nodes:
+                component = tuple(sorted(collab._bfs_distances(graph.adjacency, v)))
+                assert graph.components[v][0] == component
+                assert set(graph.components[v][1]) == {
+                    (u, w) for u in component for w in graph.adjacency[u] if u < w}
+                assert graph.cores[v] == oracle.oracle_core(graph.nodes,
+                                                            graph.adjacency, v)
+
+
 class TestShapeMemo:
     @pytest.fixture(autouse=True)
     def empty_memo(self):

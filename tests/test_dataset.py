@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
-from datetime import timedelta
+import re
+import tempfile
+from dataclasses import fields
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reviewtime import collab
@@ -15,7 +18,8 @@ from reviewtime import dataset as ds
 from reviewtime.errors import NotCompletedError, SchemaError
 from reviewtime.features import PriorHistory
 from reviewtime.gerrit import (ChangeRecord, ChangeStatus, CrawlConfig, FileDiff,
-                               RawChange, ReviewMessage, normalize_change)
+                               RawChange, ReviewMessage, _field_tests,
+                               normalize_change)
 from reviewtime.gerrit_fixture import generate_corpus
 
 from conftest import BASE_TIME, make_message, make_record
@@ -377,3 +381,191 @@ class TestSort:
         assert sorted(r.number for r in result) == sorted(r.number for r in shuffled)
         keys = [(r.created_at, r.number) for r in result]
         assert keys == sorted(keys)
+
+
+# --- the record codec against the one it replaced ----------------------------
+
+def reference_to_json(value):
+    """The ``json.dumps`` hook that wrote record lines before the direct codec."""
+    if isinstance(value, datetime):
+        return ds.format_timestamp(value)
+    return {f.name: getattr(value, f.name) for f in fields(value)}
+
+
+def reference_line(record: ChangeRecord) -> str:
+    return json.dumps(record, sort_keys=True, default=reference_to_json) + "\n"
+
+
+def reference_timestamp(value):
+    if value is None:
+        return None
+    if not isinstance(value, str) or not re.fullmatch(
+            r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\.[0-9]{6}Z", value):
+        raise ValueError(f"timestamp {value!r} is not of the form "
+                         "YYYY-MM-DDTHH:MM:SS.ffffffZ")
+    return datetime.fromisoformat(value[:-1]).replace(tzinfo=timezone.utc)
+
+
+def reference_check_field_types(cls, values):
+    """check_field_types running each field's test, with no exact-type pass."""
+    for name, (_, test, what) in _field_tests(cls).items():
+        if name in values and not test(values[name]):
+            raise ValueError(f"{name} must be {what}, got {values[name]!r}")
+
+
+def reference_from_json(cls, doc):
+    """The decoder as it read record lines before exact JSON types passed the
+    field-type check as they are."""
+    reference_check_field_types(cls, doc)
+    return cls(**doc | {name: decode(doc[name])
+                        for name, decode in REFERENCE_DECODERS.get(cls, {}).items()
+                        if name in doc})
+
+
+REFERENCE_DECODERS = {
+    ChangeRecord: {
+        "status": ChangeStatus,
+        "created_at": reference_timestamp,
+        "closed_at": reference_timestamp,
+        "files": lambda docs: tuple(reference_from_json(FileDiff, d) for d in docs),
+        "messages": lambda docs: tuple(reference_from_json(ReviewMessage, d)
+                                       for d in docs),
+    },
+    FileDiff: {"segments": lambda value: None if value is None else tuple(value)},
+    ReviewMessage: {"posted_at": reference_timestamp},
+}
+
+
+def reference_error(doc) -> str:
+    with pytest.raises((SchemaError, ValueError, TypeError, AttributeError)) as info:
+        reference_from_json(ChangeRecord, doc)
+    return str(info.value)
+
+
+# years of four digits, the one shape a file's timestamps have
+stamps = st.datetimes(min_value=datetime(1000, 1, 2), max_value=datetime(9999, 12, 30),
+                      timezones=st.sampled_from([timezone.utc,
+                                                 timezone(timedelta(hours=5, minutes=30)),
+                                                 timezone(timedelta(hours=-8))]))
+counts = st.integers(0, 2**40)
+ids = st.integers(-2**63, 2**63)
+file_diffs = st.builds(FileDiff, path=st.text(min_size=1), lines_inserted=counts,
+                       lines_deleted=counts,
+                       segments=st.none() | st.tuples(counts, counts, counts))
+review_messages = st.builds(ReviewMessage, author_id=ids, author_name=st.text(),
+                            posted_at=stamps, text=st.text(),
+                            revision_number=st.none() | ids, from_bot=st.booleans())
+
+
+@st.composite
+def change_records(draw):
+    status = draw(st.sampled_from(ChangeStatus))
+    created = draw(stamps)
+    closed = None if status is ChangeStatus.NEW \
+        else created + draw(st.timedeltas(timedelta(0), timedelta(days=400)))
+    return ChangeRecord(
+        change_id=draw(st.text()), number=draw(ids), project=draw(st.text()),
+        branch=draw(st.text()), status=status, created_at=created, closed_at=closed,
+        owner_id=draw(ids), owner_name=draw(st.text()),
+        owner_tz_offset_minutes=draw(st.integers(-900, 900)), subject=draw(st.text()),
+        message_body=draw(st.text()),
+        files=tuple(draw(st.lists(file_diffs, max_size=4))),
+        messages=tuple(draw(st.lists(review_messages, max_size=4))),
+        reopened=draw(st.booleans()), insertions_total=draw(counts),
+        deletions_total=draw(counts), tz_offset_missing=draw(st.booleans()))
+
+
+class TestRecordCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(change_records(), max_size=3))
+    def test_lines_and_records_match_the_reflective_codec(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            ds.write_dataset(records, path)
+            data = path.read_text(encoding="utf-8")
+            assert data == "".join(map(reference_line, records))
+            loaded, _ = ds.read_dataset(path)
+        assert loaded == records
+        assert loaded == [reference_from_json(ChangeRecord, json.loads(line))
+                          for line in data.splitlines()]
+
+    def test_the_appender_writes_the_same_lines(self, tmp_path):
+        records = [layout_record(), make_record(2, duration_hours=None)]
+        with ds.dataset_appender(tmp_path / "d.jsonl") as append:
+            for record in records:
+                append(record)
+        assert (tmp_path / "d.jsonl").read_text(encoding="utf-8") \
+            == "".join(map(reference_line, records))
+
+    @pytest.mark.parametrize("part, field, value", [
+        *((None, name, value) for name, values in {
+            "change_id": (7, None), "number": ("2", 2.0, True, None),
+            "project": (1, [],), "branch": (False,),
+            "owner_id": ("100", 100.0, False), "owner_name": (7,),
+            "owner_tz_offset_minutes": (True, 1.5), "subject": (None,),
+            "message_body": ({},), "reopened": ("no", 0, None),
+            "insertions_total": ("13", 1.0), "deletions_total": (None,),
+            "tz_offset_missing": (1, "true"),
+            "status": ("merged", 1, None), "created_at": ("2021-04-26", 7, None),
+            "closed_at": ("2021-04-26T10:00:00Z",), "files": (None, 3, "x", [7]),
+            "messages": (None, 3, [[]]),
+        }.items() for value in values),
+        *(("files", name, value) for name, values in {
+            "path": (7, None, ""), "lines_inserted": (1.5, "2", True, -1),
+            "lines_deleted": (None,), "segments": ([1, "x", 0], [1, 2], [1, 2, 3, 4],
+                                                  "abc", [1, 2, True], [1.0, 2, 3]),
+        }.items() for value in values),
+        *(("messages", name, value) for name, values in {
+            "author_id": ("101", 1.0, False), "author_name": (7,), "text": (None,),
+            "revision_number": ("1", 1.5, True), "from_bot": ("false", 0, None),
+            "posted_at": ("2021-4-26T11:0:0.1Z", 1),
+        }.items() for value in values),
+    ])
+    def test_a_wrongly_typed_field_raises_the_reference_error(self, tmp_path, part,
+                                                              field, value):
+        path = tmp_path / "d.jsonl"
+        ds.write_dataset([layout_record(), layout_record()], path)
+        rewrite_second_record(
+            path, lambda doc: (doc[part][0] if part else doc).update({field: value}))
+        doc = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
+        with pytest.raises(SchemaError) as info:
+            ds.read_dataset(path)
+        assert str(info.value) == f"{path} line 2: {reference_error(doc)}"
+
+    @pytest.mark.parametrize("line", [
+        "[]", '["number", "status"]', "7", "null", '"number status"', "{}",
+        '{"extra": 1}',
+    ])
+    def test_a_line_that_is_no_record_raises_the_reference_error(self, tmp_path, line):
+        path = tmp_path / "d.jsonl"
+        ds.write_dataset([layout_record()], path)
+        path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            ds.read_dataset(path)
+        assert str(info.value) == f"{path} line 2: {reference_error(json.loads(line))}"
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("number"), lambda doc: doc.update(surplus=1),
+        lambda doc: doc["files"][0].pop("path"), lambda doc: doc["files"][0].update(x=1),
+        lambda doc: doc["messages"][0].pop("text"),
+        lambda doc: doc.update(closed_at=None),
+        lambda doc: doc.update(created_at="2021-13-26T10:00:00.000000Z"),
+    ], ids=["no-number", "surplus-key", "file-without-path", "file-surplus-key",
+            "message-without-text", "closed-without-time", "month-13"])
+    def test_a_malformed_record_raises_the_reference_error(self, tmp_path, edit):
+        path = tmp_path / "d.jsonl"
+        ds.write_dataset([layout_record(), layout_record()], path)
+        rewrite_second_record(path, edit)
+        doc = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
+        with pytest.raises(SchemaError) as info:
+            ds.read_dataset(path)
+        assert str(info.value) == f"{path} line 2: {reference_error(doc)}"
+
+    def test_a_known_line_gives_its_record_and_a_new_one_is_added(self, tmp_path):
+        first, second = layout_record(), make_record(7)
+        ds.write_dataset([first, second], tmp_path / "d.jsonl")
+        lines = {}
+        loaded, _ = ds.read_dataset(tmp_path / "d.jsonl", lines=lines)
+        assert loaded == [first, second] and list(lines.values()) == loaded
+        again, _ = ds.read_dataset(tmp_path / "d.jsonl", lines=lines)
+        assert all(a is b for a, b in zip(again, loaded))

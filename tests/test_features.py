@@ -10,13 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reviewtime import collab
-from reviewtime.dataset import sort_by_creation
+from reviewtime.dataset import sort_by_creation, write_table
 from reviewtime.errors import EmptyInputError, SchemaError
 from reviewtime.features import (
     FEATURE_DIMENSIONS,
     FEATURE_NAMES,
     FeatureMatrix,
     KeywordPolicy,
+    _quadruple,
     change_entropy,
     dimension_features,
     extract_all,
@@ -168,6 +169,19 @@ class TestTextFeatures:
         policy = KeywordPolicy(non_functional_keywords=("zebra",))
         record = make_record(message_body="A Zebra appears")
         assert extract_text_features(record, policy)["is_non_fonctional"] == 1
+
+
+def reference_quadruple(values):
+    """The quadruple by numpy's own reductions, before they were spelled out."""
+    if not values:
+        return 0.0, 0.0, 0.0, 0.0
+    arr = np.asarray(values, dtype=float)
+    return float(arr.min()), float(arr.max()), float(arr.mean()), float(arr.std())
+
+
+@given(st.lists(st.floats(0.0, 1e7) | st.integers(0, 10**6), max_size=300))
+def test_quadruple_has_the_bits_of_numpy_reductions(values):
+    assert _quadruple(values) == reference_quadruple(values)
 
 
 class TestOwnerExperience:
@@ -348,6 +362,24 @@ class TestFeaturize:
         np.testing.assert_array_equal(loaded.y, matrix.y)
         np.testing.assert_array_equal(loaded.change_numbers, matrix.change_numbers)
         assert loaded.created_at == matrix.created_at
+
+    @pytest.mark.parametrize("names", [FEATURE_NAMES, FEATURE_NAMES[:1], ()],
+                             ids=["all", "one", "none"])
+    def test_csv_rows_are_the_bytes_write_table_writes(self, tmp_path, names):
+        values = [0.1, -0.0, 1e-300, 1e16, 2.0**0.5, float("nan"), float("inf"), 3.0]
+        n = 4
+        X = np.resize(np.array(values), (n, len(names)))
+        matrix = FeatureMatrix(tuple(names), X, np.array(values[:n]),
+                               np.array([7, -1, 2**40, 0]),
+                               [BASE_TIME + timedelta(microseconds=i) for i in range(n)])
+        matrix.to_csv(tmp_path / "direct.csv")
+        write_table(tmp_path / "table.csv", ("change_number", "created_at",
+                                             "target_hours", *names),
+                    ((number, created, y, *x) for number, created, y, x in zip(
+                        matrix.change_numbers.tolist(), matrix.created_at,
+                        matrix.y.tolist(), matrix.X.tolist())))
+        assert (tmp_path / "direct.csv").read_bytes() \
+            == (tmp_path / "table.csv").read_bytes()
 
     def test_csv_short_timestamp_names_the_row(self, tmp_path):
         records = [make_record(i, created=BASE_TIME + timedelta(days=i),

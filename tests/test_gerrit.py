@@ -106,6 +106,39 @@ class TestTimestamps:
         assert dt.microsecond == 0
 
 
+def reference_gerrit_timestamp(value):
+    """The parse by ``datetime.strptime`` alone, as it was before the fast path."""
+    main, _, frac = value.partition(".")
+    dt = datetime.strptime(main, "%Y-%m-%d %H:%M:%S")
+    micros = int(frac[:6].ljust(6, "0")) if frac else 0
+    return dt.replace(microsecond=micros, tzinfo=timezone.utc)
+
+
+def outcome(parse, value):
+    try:
+        return parse(value)
+    except Exception as exc:  # the type and the words are part of the outcome
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("value", [
+    "2021-04-27 10:00:00.123456789", "2021-04-27 10:00:00", "2021-04-27 10:00:00.",
+    "2021-04-27 10:00:00.5", "2021-04-27 10:00:00.000000001", "1999-12-31 23:59:59.999999",
+    "2020-02-29 00:00:00", "0001-01-01 00:00:00",
+    # accepted by strptime, not in the canonical shape
+    "2020-1-6 8:0:0", "2020-01- 6 08:00:00", "2020-01-06 08:00:00.+5", "2020-01-06 08:00:00.1_2",
+    # rejected
+    "2020-13-01 00:00:00", "2020-02-30 00:00:00", "2021-02-29 00:00:00.1",
+    "2020-01-01 24:00:00", "2020-01-01 00:60:00", "2020-01-01 00:00:60",
+    "2020-01-01 00:00:61", "0000-01-01 00:00:00", "2020-01-01 00:00:00x",
+    "2020-01-01 00:00:00.12x", "2020-01-01T00:00:00", "2020-01-01 00:00",
+    "２０２０-01-01 00:00:00", "2020-01-01 00:00:00 ", "", None, 20200101,
+])
+def test_gerrit_timestamps_parse_as_by_strptime(value):
+    assert outcome(parse_gerrit_timestamp, value) \
+        == outcome(reference_gerrit_timestamp, value)
+
+
 def detail_doc(number=101, status="MERGED", files=None, messages=None, tz=60):
     files = files if files is not None else {
         "a.c": {"lines_inserted": 10, "lines_deleted": 2},
