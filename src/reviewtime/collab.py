@@ -1,12 +1,11 @@
 """Developer interaction graph and the six owner collaboration metrics.
 
-The graph is undirected: one edge (owner, participant) per distinct non-owner,
-non-bot message author on each prior in-window change, with the weight counting
-how many changes the pair interacted on.  All centralities are computed on the
-unweighted simple graph.  Each metric takes a node of the graph:
-:func:`collab_features` alone scores an owner absent from the graph 0.
-A window graph grows by the changes that enter it (:func:`grow_graph`), and
-:func:`collab_features` scores each owner once per graph shape.
+The graph is undirected and unweighted: one edge (owner, participant) per
+distinct non-owner, non-bot message author on any prior in-window change.
+Each metric takes a node of the graph: :func:`collab_features` alone scores
+an owner absent from the graph 0.  A window graph grows by the changes that
+enter it (:func:`grow_graph`), and :func:`collab_features` scores each owner
+once per graph shape.
 
 Betweenness runs the Brandes searches of a block of sources at once, one
 breadth-first level at a time over flat numpy arrays (:func:`_dependency_sums`):
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property, lru_cache
@@ -45,11 +44,10 @@ EIGENVECTOR_BLOCK = 8
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Each cached property below depends on the node set and the edge keys
-    in their iteration order, not on the weights: a growth that adds no new
-    pair hands them on (:func:`grow_graph`)."""
+    """The nodes and the edges, each a sorted node pair, in the iteration
+    order that every cached property below and every float sum reads."""
     nodes: frozenset[int]
-    edges: dict[tuple[int, int], int]  # key is the sorted node pair
+    edges: dict[tuple[int, int], None]  # the pairs, in insertion order
 
     @cached_property
     def adjacency(self) -> dict[int, set[int]]:
@@ -105,10 +103,6 @@ class InteractionGraph:
         return cores
 
 
-# what a growth without a new pair hands on to the grown graph
-_SHAPE_STATE = ("adjacency", "shape", "components", "cores")
-
-
 @dataclass(frozen=True)
 class CollabFeatures:
     degree_centrality: float = 0.0
@@ -129,34 +123,28 @@ def build_graph(history: Sequence[ChangeRecord], as_of: datetime,
 
 def grow_graph(graph: InteractionGraph,
                changes: Sequence[ChangeRecord]) -> InteractionGraph:
-    """The graph of ``graph``'s window extended by ``changes``.
+    """The graph of ``graph``'s window extended by ``changes``: ``graph``
+    itself when they bring no new pair.
 
     The graph holds by construction what the metrics assume:
-    - the edge keys are ``interaction_pairs``: sorted pairs of an owner and a
+    - the edges are ``interaction_pairs``: sorted pairs of an owner and a
       participant, who is never the owner, so there are no self-loops;
-    - the weights are ``Counter`` counts, so each is at least 1;
-    - the nodes are the endpoints of the keys.
+    - the nodes are the endpoints of the edges.
 
-    Each change counts its ``interaction_pairs`` into the weights, whose keys
-    keep the order of each pair's first occurrence (``Counter.update``
-    appends new keys only).  Nodes are added in that key order, so every
-    node enters the set at its first appearance, as it would if it were
-    added at every occurrence: the set table, and so the iteration order of
-    ``nodes`` and ``adjacency`` that betweenness sums its floats in, is the
-    one a rebuild over the whole window gives.
+    The edges keep the order of each pair's first occurrence: the old pairs,
+    then the new ones.  Nodes are added in that order, so every node enters
+    the set at its first appearance, as it would if it were added at every
+    occurrence: the set table, and so the iteration order of ``nodes`` and
+    ``adjacency`` that betweenness sums its floats in, is the one a rebuild
+    over the whole window gives.
     """
-    weights = Counter(graph.edges)
-    weights.update(chain.from_iterable(change.interaction_pairs
-                                       for change in changes))
-    if len(weights) > len(graph.edges):
-        return InteractionGraph(nodes=frozenset(set(chain.from_iterable(weights))),
-                                edges=dict(weights))
-    # no new pair: the same nodes and edge keys in the same order, so the
-    # shape and what is derived from it carry over
-    grown = InteractionGraph(nodes=graph.nodes, edges=dict(weights))
-    state = vars(graph)
-    vars(grown).update((name, state[name]) for name in _SHAPE_STATE if name in state)
-    return grown
+    new = dict.fromkeys(pair for change in changes for pair in change.interaction_pairs
+                        if pair not in graph.edges)
+    if not new:
+        return graph
+    edges = graph.edges | new
+    return InteractionGraph(nodes=frozenset(set(chain.from_iterable(edges))),
+                            edges=edges)
 
 
 def _bfs_distances(adj: dict[int, set[int]], source: int) -> dict[int, int]:

@@ -122,10 +122,12 @@ _TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}"
 
 
 def format_timestamp(dt: datetime | None) -> str | None:
-    """UTC ``YYYY-MM-DDTHH:MM:SS.ffffffZ``, the one shape the files hold."""
+    """UTC ``YYYY-MM-DDTHH:MM:SS.ffffffZ``, the one shape the files hold, with
+    the year zero-padded to four digits (glibc's ``%Y`` writes 999 as ``999``)."""
     if dt is None:
         return None
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+    utc = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    return utc.isoformat(timespec="microseconds") + "Z"
 
 
 def parse_timestamp(value: str | None) -> datetime | None:

@@ -366,34 +366,28 @@ class PriorHistory:
             self.by_participant.setdefault(participant, []).append(position)
 
 
-def _as_prior_history(prior: Sequence[ChangeRecord] | PriorHistory) -> PriorHistory:
-    return prior if isinstance(prior, PriorHistory) else PriorHistory(prior)
-
-
 def _positions(index: dict, keys: Iterable) -> set[int]:
     return set().union(*(index.get(key, ()) for key in keys))
 
 
 def extract_owner_experience(record: ChangeRecord,
-                             prior_history: Sequence[ChangeRecord] | PriorHistory,
-                             ) -> dict[str, float]:
+                             prior_history: PriorHistory) -> dict[str, float]:
     """Owner-experience features over ``prior_history``, read in its order.
 
     ``prior_history`` must hold only the completed changes created before
-    ``record``; a plain sequence is indexed first.
+    ``record``.
     """
-    prior = _as_prior_history(prior_history)
     owner = record.owner_id
-    own = prior.by_owner.get(owner, [])
-    totals = prior.owner_totals.get(owner) or _OwnerTotals()
+    own = prior_history.by_owner.get(owner, [])
+    totals = prior_history.owner_totals.get(owner) or _OwnerTotals()
     merged, abandoned = totals.merged, totals.abandoned
 
-    subsystem_changes = _positions(prior.by_subsystem,
+    subsystem_changes = _positions(prior_history.by_subsystem,
                                    {subsystem_of(f.path) for f in record.files})
     own_subsystem = sum(1 for p in own if p in subsystem_changes)
 
     dur_quad, msg_quad = _quadruple(totals.hours), _quadruple(totals.messages)
-    reviewed = len(prior.by_participant.get(owner, ()))
+    reviewed = len(prior_history.by_participant.get(owner, ()))
 
     values = {
         "#owner_prior_changes": float(len(own)),
@@ -416,18 +410,18 @@ def extract_owner_experience(record: ChangeRecord,
 
 
 def extract_file_history(record: ChangeRecord,
-                         prior_history: Sequence[ChangeRecord] | PriorHistory,
-                         ) -> dict[str, float]:
+                         prior_history: PriorHistory) -> dict[str, float]:
     """File-history features over ``prior_history``, read in its order.
 
     ``prior_history`` must hold only the completed changes created before
-    ``record``; a plain sequence is indexed first.
+    ``record``.
     """
-    prior = _as_prior_history(prior_history)
-    overlapping = sorted(_positions(prior.by_path, {f.path for f in record.files}))
-    quad = _quadruple([prior.hours[p] for p in overlapping])
+    overlapping = sorted(_positions(prior_history.by_path,
+                                    {f.path for f in record.files}))
+    quad = _quadruple([prior_history.hours[p] for p in overlapping])
     values = {f"files_changes_duration_{s}": v for s, v in zip(_QUAD, quad)}
-    values["#developers_file"] = float(len({prior.owners[p] for p in overlapping}))
+    values["#developers_file"] = float(len({prior_history.owners[p]
+                                            for p in overlapping}))
     values["#prior_changes_files"] = float(len(overlapping))
     return values
 
@@ -491,9 +485,10 @@ def featurize(records: Sequence[ChangeRecord],
     a change number may appear in it once, with the creation time the
     records give it.  One sweep in creation order feeds the changes created
     before each record into one :class:`PriorHistory` (the completed ones)
-    and into the previous record's graph, which is rebuilt only when a
-    change leaves the window (that can change the order betweenness sums
-    in).  A record costs its own keys plus the changes entering its window.
+    and into the previous record's graph, which is kept while no new pair
+    enters and rebuilt only when a change leaves the window (that can change
+    the order betweenness sums in).  A record costs its own keys plus the
+    changes entering its window.
     """
     history = sort_by_creation(records if history is None else history)
     _check_change_numbers(records, history)

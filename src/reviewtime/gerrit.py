@@ -77,8 +77,9 @@ _SCALARS = {
 def _field_tests(cls: type,
                  ) -> dict[str, tuple[tuple[type, ...], Callable[[Any], bool], str]]:
     """For each field of ``cls`` typed a scalar or a tuple of one, either
-    perhaps ``| None``: the types whose values pass as they are, the test
-    any other value must pass, and what the values must be."""
+    perhaps ``| None``, or typed ``datetime``: the types whose values pass
+    as they are, the test any other value must pass, and what the values
+    must be."""
     tests = {}
     for name, hint in get_type_hints(cls).items():
         args = get_args(hint)
@@ -99,6 +100,8 @@ def _field_tests(cls: type,
         elif hint in _SCALARS:
             test, what, _ = _SCALARS[hint]
             exact = (int, float) if hint is float else (hint,)
+        elif hint is datetime and not nullable:
+            exact, test, what = (str, datetime), (lambda v: v is not None), "a timestamp"
         else:
             continue
         if nullable:
@@ -113,8 +116,9 @@ def check_field_types(cls: type, values: Mapping[str, Any]) -> None:
 
     An ``int`` field takes an int, never a bool; a ``float`` field an int
     or a float; ``str`` and ``bool`` fields exactly that type; ``X | None``
-    also null; and a tuple field of scalars a list or tuple of them, of the
-    annotation's length when it fixes one.  Other field types are left to
+    also null; a tuple field of scalars a list or tuple of them, of the
+    annotation's length when it fixes one; and a ``datetime`` field any value
+    but null, whose shape its decoder checks.  Other field types are left to
     their constructors, and absent names to the dataclass.  A value of
     exactly such a type passes without its field's test.
     """

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reviewtime import collab
+from reviewtime import collab, features
 from reviewtime.collab import (
     CollabFeatures,
     InteractionGraph,
@@ -63,22 +63,22 @@ class TestBuildGraph:
         change = make_record(1, owner=1, created=BASE_TIME - timedelta(days=2),
                              messages=(make_message(2), make_message(3)))
         g = build_graph([change], as_of=BASE_TIME)
-        assert g.edges == {(1, 2): 1, (1, 3): 1}
+        assert list(g.edges) == [(1, 2), (1, 3)]
 
-    def test_repeat_interaction_increments_weight(self):
+    def test_repeat_interaction_adds_one_edge(self):
         changes = [
             make_record(i, owner=1, created=BASE_TIME - timedelta(days=i + 1),
                         messages=(make_message(2),))
             for i in range(2)
         ]
         g = build_graph(changes, as_of=BASE_TIME)
-        assert g.edges == {(1, 2): 2}
+        assert list(g.edges) == [(1, 2)]
 
-    def test_weight_counts_changes_not_messages(self):
+    def test_repeated_messages_add_one_edge(self):
         change = make_record(1, owner=1, created=BASE_TIME - timedelta(days=1),
                              messages=(make_message(2), make_message(2, hours=2.0)))
         g = build_graph([change], as_of=BASE_TIME)
-        assert g.edges == {(1, 2): 1}
+        assert list(g.edges) == [(1, 2)]
 
     def test_window_and_as_of_respected(self):
         too_old = make_record(1, owner=1,
@@ -100,7 +100,7 @@ class TestBuildGraph:
                                  make_message(2),
                              ))
         g = build_graph([change], as_of=BASE_TIME)
-        assert g.edges == {(1, 2): 1}
+        assert list(g.edges) == [(1, 2)]
 
 
 class TestSpecExamples:
@@ -416,7 +416,7 @@ def colliding_histories(seed):
 
 def assert_same_iteration_order(got, want):
     assert list(got.nodes) == list(want.nodes)
-    assert list(got.edges.items()) == list(want.edges.items())
+    assert list(got.edges) == list(want.edges)
     for u in want.nodes:
         assert list(got.adjacency[u]) == list(want.adjacency[u])
 
@@ -477,15 +477,68 @@ class TestGrowGraph:
         grown = collab.grow_graph(build_graph(records[i:j], as_of, 365), records[j:k])
         assert_same_iteration_order(grown, build_graph(records[i:k], as_of, 365))
 
-    def test_no_new_pair_keeps_the_node_set(self):
+    def test_no_new_pair_returns_the_graph(self):
         records = creation_ordered_corpus()
         as_of = records[-1].created_at + timedelta(days=1)
         graph = build_graph(records, as_of)
         repeat = next(r for r in records if r.interaction_pairs)
-        grown = collab.grow_graph(graph, [repeat])
-        assert grown.nodes is graph.nodes
-        assert grown.edges == {**graph.edges, **{
-            pair: graph.edges[pair] + 1 for pair in repeat.interaction_pairs}}
+        alone = next(r for r in records if not r.interaction_pairs)
+        for changes in ([], [alone], [repeat], [repeat, alone, repeat]):
+            assert collab.grow_graph(graph, changes) is graph
+
+    @pytest.mark.parametrize("step", [None, 8, 32])
+    def test_each_growth_is_the_graph_or_iterates_as_a_rebuild(self, step):
+        records = creation_ordered_corpus(step)
+        as_of = records[-1].created_at + timedelta(days=1)
+        grew = kept = 0
+        for i in range(0, len(records), 7):
+            graph = build_graph(records[:i], as_of)
+            for change in records:
+                grown = collab.grow_graph(graph, [change])
+                if set(change.interaction_pairs) <= graph.edges.keys():
+                    assert grown is graph
+                    kept += 1
+                else:
+                    assert_same_iteration_order(
+                        grown, build_graph(records[:i] + [change], as_of))
+                    grew += 1
+        assert grew and kept
+
+
+def scored_graphs(monkeypatch, records, window_days):
+    """Each record ``featurize`` scores, with the graph it scores it on."""
+    seen = []
+    assemble = features._assemble
+
+    def spy(record, graph, prior, policy):
+        seen.append((record, graph))
+        return assemble(record, graph, prior, policy)
+
+    monkeypatch.setattr(features, "_assemble", spy)
+    features.featurize(records, window_days=window_days)
+    return seen
+
+
+class TestFeaturizeSweep:
+    @pytest.mark.parametrize("step", [None, 8])
+    @pytest.mark.parametrize("window_days", [365, 30])
+    def test_a_window_that_gains_no_pair_keeps_its_graph(self, monkeypatch, step,
+                                                         window_days):
+        records = creation_ordered_corpus(step)
+        window = timedelta(days=window_days)
+        scored = scored_graphs(monkeypatch, records, window_days)
+        assert len(scored) > 50
+        for record, graph in scored:
+            assert_same_iteration_order(
+                graph, build_graph(records, record.created_at, window_days))
+        shared = 0
+        for (before, before_graph), (record, graph) in zip(scored, scored[1:]):
+            left = any(before.created_at - window <= change.created_at
+                       < record.created_at - window for change in records)
+            if not left and graph.edges.keys() == before_graph.edges.keys():
+                assert graph is before_graph
+                shared += 1
+        assert shared > 10
 
 
 def reference_eigenvector(graph, v):

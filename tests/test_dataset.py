@@ -8,6 +8,7 @@ import tempfile
 from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from reviewtime.errors import NotCompletedError, SchemaError
 from reviewtime.features import PriorHistory
 from reviewtime.gerrit import (ChangeRecord, ChangeStatus, CrawlConfig, FileDiff,
                                RawChange, ReviewMessage, _field_tests,
-                               normalize_change)
+                               check_field_types, normalize_change)
 from reviewtime.gerrit_fixture import generate_corpus
 
 from conftest import BASE_TIME, make_message, make_record
@@ -254,6 +255,82 @@ class TestTimestamps:
         with pytest.raises(ValueError):
             ds.parse_timestamp(value)
 
+    @pytest.mark.parametrize("year, text", [
+        (1, "0001-02-03T04:05:06.000007Z"),
+        (999, "0999-02-03T04:05:06.000007Z"),
+        (1000, "1000-02-03T04:05:06.000007Z"),
+    ])
+    def test_a_short_year_is_padded_to_four_digits(self, year, text):
+        stamp = datetime(year, 2, 3, 4, 5, 6, 7, tzinfo=timezone.utc)
+        assert ds.format_timestamp(stamp) == text
+        assert ds.parse_timestamp(text) == stamp
+
+    def test_a_year_of_four_digits_is_written_as_strftime_writes_it(self):
+        stamp = datetime(1000, 1, 1, tzinfo=timezone(timedelta(hours=-8)))
+        assert ds.format_timestamp(stamp) == stamp.astimezone(timezone.utc).strftime(
+            "%Y-%m-%dT%H:%M:%S.%fZ")
+
+
+def datetime_fields(cls):
+    """The names of ``cls``'s fields typed ``datetime``, and of those typed
+    ``datetime | None``."""
+    hints = get_type_hints(cls)
+    return ([name for name, hint in hints.items() if hint is datetime],
+            [name for name, hint in hints.items() if hint == datetime | None])
+
+
+class TestNullTimestamps:
+    @pytest.mark.parametrize("cls", [ChangeRecord, ReviewMessage, ds.DatasetManifest])
+    def test_only_a_nullable_timestamp_field_takes_null(self, cls):
+        required, nullable = datetime_fields(cls)
+        assert required
+        for name in required:
+            with pytest.raises(ValueError, match=f"^{name} must be a timestamp, got None$"):
+                check_field_types(cls, {name: None})
+        for name in nullable:
+            check_field_types(cls, {name: None})
+
+    def test_the_record_fields_are_the_ones_read_below(self):
+        assert datetime_fields(ChangeRecord) == (["created_at"], ["closed_at"])
+        assert datetime_fields(ReviewMessage) == (["posted_at"], [])
+        assert datetime_fields(ds.DatasetManifest) == (["created_at"], [])
+
+    @pytest.mark.parametrize("duration_hours", [48.0, None], ids=["closed", "open"])
+    def test_a_null_created_at_names_the_field_and_the_line(self, tmp_path,
+                                                            duration_hours):
+        path = tmp_path / "d.jsonl"
+        ds.write_dataset([make_record(1), make_record(2, duration_hours=duration_hours)],
+                         path)
+        rewrite_second_record(path, lambda doc: doc.update(created_at=None))
+        with pytest.raises(SchemaError) as info:
+            ds.read_dataset(path)
+        assert str(info.value) == \
+            f"{path} line 2: created_at must be a timestamp, got None"
+
+    def test_a_null_posted_at_names_the_field_and_the_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        ds.write_dataset([make_record(1), make_record(2)], path)
+        rewrite_second_record(path, lambda doc: doc["messages"][0].update(posted_at=None))
+        with pytest.raises(SchemaError) as info:
+            ds.read_dataset(path)
+        assert str(info.value) == \
+            f"{path} line 2: posted_at must be a timestamp, got None"
+
+    def test_a_null_manifest_created_at_names_the_field_and_the_file(self, tmp_path):
+        ds.write_dataset([make_record(1)], tmp_path / "d.jsonl")
+        manifest_file = tmp_path / "manifest.json"
+        doc = json.loads(manifest_file.read_text())
+        manifest_file.write_text(json.dumps(doc | {"created_at": None}))
+        with pytest.raises(SchemaError, match="manifest.json.*created_at must be a "
+                                              "timestamp, got None"):
+            ds.read_dataset(tmp_path / "d.jsonl")
+
+    def test_an_open_change_reads_back_without_closed_at(self, tmp_path):
+        records = [make_record(1), make_record(2, duration_hours=None)]
+        ds.write_dataset(records, tmp_path / "d.jsonl")
+        assert '"closed_at": null' in (tmp_path / "d.jsonl").read_text()
+        assert ds.read_dataset(tmp_path / "d.jsonl")[0] == records
+
 
 def rewrite_second_record(path, edit):
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -442,8 +519,9 @@ def reference_error(doc) -> str:
     return str(info.value)
 
 
-# years of four digits, the one shape a file's timestamps have
-stamps = st.datetimes(min_value=datetime(1000, 1, 2), max_value=datetime(9999, 12, 30),
+# every year a file's four-digit timestamps hold, a day inside the ends so
+# that each offset still has a UTC time
+stamps = st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 30),
                       timezones=st.sampled_from([timezone.utc,
                                                  timezone(timedelta(hours=5, minutes=30)),
                                                  timezone(timedelta(hours=-8))]))

@@ -17,6 +17,7 @@ from reviewtime.features import (
     FEATURE_NAMES,
     FeatureMatrix,
     KeywordPolicy,
+    PriorHistory,
     _quadruple,
     change_entropy,
     dimension_features,
@@ -187,7 +188,7 @@ def test_quadruple_has_the_bits_of_numpy_reductions(values):
 class TestOwnerExperience:
     def test_first_change_all_zero(self):
         record = make_record(owner=1)
-        values = extract_owner_experience(record, [])
+        values = extract_owner_experience(record, PriorHistory())
         assert all(v == 0.0 for v in values.values())
 
     def test_duration_quadruple(self):
@@ -198,7 +199,7 @@ class TestOwnerExperience:
                         duration_hours=50.0),
         ]
         record = make_record(3, owner=1)
-        values = extract_owner_experience(record, priors)
+        values = extract_owner_experience(record, PriorHistory(priors))
         assert values["prior_code_reviews_duration_min"] == 30.0
         assert values["prior_code_reviews_duration_max"] == 50.0
         assert values["prior_code_reviews_duration_avg"] == 40.0
@@ -212,7 +213,7 @@ class TestOwnerExperience:
             for i in range(3)
         ]
         record = make_record(9, owner=1)
-        values = extract_owner_experience(record, priors)
+        values = extract_owner_experience(record, PriorHistory(priors))
         assert values["merge_ratio"] == pytest.approx(2 / 3)
         assert values["#prior_merged_changes"] == 2
         assert values["#prior_abandoned_changes"] == 1
@@ -224,7 +225,8 @@ class TestOwnerExperience:
                         status=ChangeStatus.MERGED if i % 2 else ChangeStatus.ABANDONED)
             for i in range(5)
         ]
-        values = extract_owner_experience(make_record(9, owner=1), priors)
+        values = extract_owner_experience(make_record(9, owner=1),
+                                          PriorHistory(priors))
         assert (values["#prior_merged_changes"] + values["#prior_abandoned_changes"]
                 == values["#owner_prior_changes"])
 
@@ -234,7 +236,7 @@ class TestFileHistory:
         priors = [make_record(1, created=BASE_TIME - timedelta(days=1),
                               files=(FileDiff("other/q.c", 1, 1),))]
         record = make_record(2, files=(FileDiff("core/a.c", 1, 1),))
-        values = extract_file_history(record, priors)
+        values = extract_file_history(record, PriorHistory(priors))
         assert all(v == 0.0 for v in values.values())
 
     def test_two_overlapping(self):
@@ -245,7 +247,7 @@ class TestFileHistory:
                         duration_hours=60.0, files=(FileDiff("core/a.c", 2, 2),)),
         ]
         record = make_record(3, files=(FileDiff("core/a.c", 1, 0),))
-        values = extract_file_history(record, priors)
+        values = extract_file_history(record, PriorHistory(priors))
         assert values["files_changes_duration_avg"] == 50.0
         assert values["#developers_file"] == 2
         assert values["#prior_changes_files"] == 2
@@ -255,7 +257,7 @@ class TestFileHistory:
                               duration_hours=40.0,
                               files=(FileDiff("core/a.c", 1, 1),))]
         record = make_record(2, files=(FileDiff("core/a.c", 1, 0),))
-        values = extract_file_history(record, priors)
+        values = extract_file_history(record, PriorHistory(priors))
         assert values["files_changes_duration_std"] == 0.0
 
 

@@ -4,6 +4,7 @@ and every top-level function and class is named by the program."""
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -91,3 +92,31 @@ def test_every_top_level_definition_is_named_by_the_program():
                if name not in named and name not in UNREFERENCED_ALLOWED}
     assert unnamed == {}
     assert set(UNREFERENCED_ALLOWED) <= defined.keys() - named
+
+
+def _hook_targets() -> list[str]:
+    """The ``"module:attr.path"`` targets of the ``Hook(...)`` calls in
+    bench/tracing.py."""
+    tree = ast.parse((REPO / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    return [node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Hook"]
+
+
+def test_every_bench_hook_target_resolves_to_a_callable():
+    # the tracer patches a method only where its class defines it, and a
+    # target it cannot find only leaves its metrics at 0
+    targets = _hook_targets()
+    assert targets
+    unresolved = []
+    for target in targets:
+        module, _, path = target.partition(":")
+        *classes, attr = path.split(".")
+        owner = importlib.import_module(module)
+        for cls in classes:
+            owner = getattr(owner, cls, None)
+        found = vars(owner).get(attr) if classes and owner is not None \
+            else getattr(owner, attr, None)
+        if not callable(found):
+            unresolved.append(target)
+    assert unresolved == []
