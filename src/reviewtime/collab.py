@@ -32,6 +32,9 @@ from .errors import ConvergenceFailureError
 from .gerrit import ChangeRecord
 
 DEFAULT_WINDOW_DAYS = 365
+# a century: any review history fits, and the window start stays a datetime
+# for every change created after the year 100
+MAX_WINDOW_DAYS = 36_500
 
 # cells one block of betweenness sources may take, n + 2m per source
 BETWEENNESS_BLOCK = 1 << 17

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .collab import DEFAULT_WINDOW_DAYS
+from .collab import DEFAULT_WINDOW_DAYS, MAX_WINDOW_DAYS
 from .dataset import FilterPolicy
 from .errors import ConfigError
 from .evaluation import DEFAULT_REPEATS, PipelineConfig
@@ -63,10 +63,13 @@ def _dataclass_section(doc: dict, key: str, cls: Callable[..., T]) -> T:
                     lambda section: cls(**section))
 
 
-def _integer(value, name: str, least: int) -> int:
-    """``value`` if it is an integer of at least ``least``; a bool is not one."""
+def _integer(value, name: str, least: int, most: int | None = None) -> int:
+    """``value`` if it is an integer of at least ``least`` and, when given, at
+    most ``most``; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value!r}")
     return value
 
 
@@ -125,7 +128,7 @@ def _run_config(doc: dict, seed_override: int | None,
         window_days=_section(doc.get("features", {}), "features", _FEATURE_KEYS,
                              lambda section: _integer(
                                  section.get("window_days", DEFAULT_WINDOW_DAYS),
-                                 "window_days", 1)),
+                                 "window_days", 1, MAX_WINDOW_DAYS)),
         out_dir=Path(out_override or doc.get("out_dir", "runs/out")),
         seed=seed,
     )

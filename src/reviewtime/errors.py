@@ -77,10 +77,6 @@ class NonFinitePredictionError(ReviewTimeError):
 
 # --- stats ---
 
-class TooFewPairsError(ReviewTimeError):
-    pass
-
-
 class ZeroPooledVarianceError(ReviewTimeError):
     pass
 

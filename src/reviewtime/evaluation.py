@@ -46,16 +46,9 @@ SA_TRIALS = 1000
 DEFAULT_REPEATS = 30
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    boundaries: tuple[tuple[int, int], ...]  # half-open [start, stop) ranges
-
-    def fold(self, i: int) -> tuple[int, int]:
-        return self.boundaries[i]
-
-
-def make_online_folds(n: int) -> FoldPlan:
-    """Ten contiguous chronological ranges; remainder goes to the earliest folds."""
+def make_online_folds(n: int) -> tuple[tuple[int, int], ...]:
+    """Ten contiguous chronological half-open ``(start, stop)`` ranges; the
+    remainder goes to the earliest folds."""
     if n < N_FOLDS:
         raise TooFewRecordsError(f"need at least {N_FOLDS} records, got {n}")
     base = n // N_FOLDS
@@ -66,7 +59,7 @@ def make_online_folds(n: int) -> FoldPlan:
         size = base + (1 if i < remainder else 0)
         boundaries.append((start, start + size))
         start += size
-    return FoldPlan(tuple(boundaries))
+    return tuple(boundaries)
 
 
 @dataclass(frozen=True)
@@ -257,7 +250,7 @@ def _fit_iteration(data: FeatureMatrix, config: PipelineConfig, iteration: int,
 
 def run_online_validation(data: FeatureMatrix, config: PipelineConfig) -> EvalResult:
     """Run the 10-fold chronological protocol for every repeat and iteration."""
-    plan = make_online_folds(len(data))
+    folds = make_online_folds(len(data))
     result = EvalResult(algorithm=config.algorithm.value)
     deterministic = is_deterministic(config.algorithm)
     for repeat in range(config.repeats):
@@ -267,8 +260,8 @@ def run_online_validation(data: FeatureMatrix, config: PipelineConfig) -> EvalRe
             continue
         seed = config.base_seed + repeat
         for iteration in range(1, N_ITERATIONS + 1):
-            train_stop = plan.fold(iteration + 3)[1]  # folds 1..i+4
-            test_range = plan.fold(iteration + 4)     # fold i+5
+            train_stop = folds[iteration + 3][1]  # folds 1..i+4
+            test_range = folds[iteration + 4]     # fold i+5
             scores, error = (float("nan"),) * 3, ""
             try:
                 scores = _fit_iteration(data, config, iteration, train_stop,

@@ -115,6 +115,9 @@ class KeywordPolicy:
                 raise ValueError(f"{name} must be non-empty")
             if any(t != t.lower() for t in terms):
                 raise ValueError(f"{name} must be lowercase")
+            # "" is in every description, and " " in every one of two words
+            if any(not t.strip() for t in terms):
+                raise ValueError(f"{name} must not hold an empty or blank keyword")
             object.__setattr__(self, name, terms)
 
 

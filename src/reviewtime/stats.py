@@ -13,9 +13,9 @@ import numpy as np
 
 from .errors import (
     EmptyInputError,
+    LengthMismatchError,
     TooFewGroupsError,
     TooFewObservationsError,
-    TooFewPairsError,
     ZeroPooledVarianceError,
 )
 
@@ -159,7 +159,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> tuple[float,
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
-        raise TooFewPairsError("paired samples must have equal length")
+        raise LengthMismatchError("paired samples must have equal length")
     diffs = a - b
     diffs = diffs[diffs != 0]
     n = diffs.size

@@ -196,25 +196,25 @@ def test_criterion_4_temporal_soundness():
                                     repeats=2, base_seed=trial)
             result = run_online_validation(data, config)
             assert len(result.records) == 10 and result.failures == 0
-            plan = make_online_folds(n)
+            folds = make_online_folds(n)
             per_repeat: dict[int, list] = {}
             for record in result.records:
                 train_created = data.created_at[:record.train_range[1]]
                 test_created = data.created_at[record.test_range[0]:
                                                record.test_range[1]]
                 assert max(train_created) < min(test_created)
-                expected_train_stop = plan.fold(record.iteration + 3)[1]
+                expected_train_stop = folds[record.iteration + 3][1]
                 assert record.train_range == (0, expected_train_stop)
-                assert record.test_range == plan.fold(record.iteration + 4)
+                assert record.test_range == folds[record.iteration + 4]
                 per_repeat.setdefault(record.repeat, []).append(record)
             for records in per_repeat.values():
                 records.sort(key=lambda r: r.iteration)
                 stops = [r.train_range[1] for r in records]
                 assert stops == sorted(stops) and len(set(stops)) == 5
-                assert records[0].train_range[1] == plan.fold(4)[1]
-                assert records[0].test_range == plan.fold(5)
-                assert records[4].train_range[1] == plan.fold(8)[1]
-                assert records[4].test_range == plan.fold(9)
+                assert records[0].train_range[1] == folds[4][1]
+                assert records[0].test_range == folds[5]
+                assert records[4].train_range[1] == folds[8][1]
+                assert records[4].test_range == folds[9]
 
 
 def test_criterion_5_loco_planted_signal():

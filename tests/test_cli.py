@@ -21,10 +21,11 @@ from conftest import make_message, make_record, synthetic_matrix
 from reviewtime import dataset as ds
 from reviewtime import cli, gerrit
 from reviewtime.cli import build_parser, main
+from reviewtime.collab import MAX_WINDOW_DAYS
 from reviewtime.config import load_run_config
 from reviewtime.errors import ConfigError
 from reviewtime.evaluation import EvalRecord, EvalResult
-from reviewtime.features import DIMENSIONS
+from reviewtime.features import DIMENSIONS, featurize
 from reviewtime.gerrit_fixture import (FixtureGerritServer, _FixtureHandler,
                                        generate_corpus, render_patch)
 from reviewtime.stats import compare_pairwise
@@ -152,6 +153,10 @@ class TestConfig:
          "evaluation.pipelines[0]"),
         ({"features": {"window_days": 0}}, "features"),
         ({"features": {"window_days": -5}}, "features"),
+        ({"features": {"window_days": 1_000_000}}, "features"),
+        ({"features": {"window_days": MAX_WINDOW_DAYS + 1}}, "features"),
+        ({"keywords": {"perfective_keywords": ["improve", ""]}}, "keywords"),
+        ({"keywords": {"refactoring_keywords": [" "]}}, "keywords"),
         ({"evaluation": {"pipelines": [
             {"algorithm": "GB", "hyperparameters": {"max_depth": None}}]}},
          "evaluation.pipelines[0]"),
@@ -203,6 +208,18 @@ class TestConfig:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_largest_window_loads_and_featurizes(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"features": {"window_days": MAX_WINDOW_DAYS}}),
+                        encoding="utf-8")
+        window_days = load_run_config(path).window_days
+        assert window_days == MAX_WINDOW_DAYS
+        # the earliest year whose changes the largest window keeps in range
+        first = datetime(101, 1, 1, tzinfo=timezone.utc)
+        history = [make_record(i, owner=100 + i % 2, created=first + timedelta(days=i))
+                   for i in range(1, 6)]
+        assert len(featurize(history, window_days=window_days).y) == 5
 
     def test_numeric_hyperparameters_load(self, tmp_path):
         path = write_config(tmp_path / "c.json", pipelines=[

@@ -540,6 +540,25 @@ class TestFeaturizeSweep:
                 shared += 1
         assert shared > 10
 
+    def test_each_shape_is_scored_once_across_graph_objects(self, monkeypatch):
+        # a window rebuilt after a change leaves it is a new graph object
+        # that often has the last shape, at times with its pairs in another
+        # order: the memos are keyed by shape, so its scores are hits, which
+        # memos kept on the graph object would miss
+        config = CrawlConfig(base_url="http://fixture.invalid")
+        records = sort_by_creation([normalize_change(RawChange(doc, BASE_TIME), config)
+                                    for doc in generate_corpus(400, seed=1)])
+        memos = (collab._dependency_sums, collab._component_eigenvector,
+                 collab._shape_scores)
+        for memo in memos:
+            memo.cache_clear()
+        graphs = [graph for _, graph in scored_graphs(monkeypatch, records, 30)]
+        runs = 1 + sum(a.shape != b.shape for a, b in zip(graphs, graphs[1:]))
+        assert len({id(graph) for graph in graphs}) > runs
+        for memo in memos:
+            assert memo.cache_info().misses <= runs
+            memo.cache_clear()
+
 
 def reference_eigenvector(graph, v):
     """The power iteration as it ran before it was memoized per component."""

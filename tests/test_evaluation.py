@@ -40,12 +40,12 @@ from conftest import synthetic_matrix
 
 class TestFoldPlan:
     def test_even_split(self):
-        plan = make_online_folds(100)
-        assert all(b - a == 10 for a, b in plan.boundaries)
+        folds = make_online_folds(100)
+        assert all(b - a == 10 for a, b in folds)
 
     def test_remainder_to_earliest(self):
-        plan = make_online_folds(103)
-        sizes = [b - a for a, b in plan.boundaries]
+        folds = make_online_folds(103)
+        sizes = [b - a for a, b in folds]
         assert sizes == [11, 11, 11, 10, 10, 10, 10, 10, 10, 10]
 
     def test_too_few(self):
@@ -54,12 +54,12 @@ class TestFoldPlan:
 
     @given(st.integers(10, 2000))
     def test_partition_properties(self, n):
-        plan = make_online_folds(n)
-        sizes = [b - a for a, b in plan.boundaries]
+        folds = make_online_folds(n)
+        sizes = [b - a for a, b in folds]
         assert sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
-        assert plan.boundaries[0][0] == 0
-        for (_, stop), (start, _) in zip(plan.boundaries, plan.boundaries[1:]):
+        assert folds[0][0] == 0
+        for (_, stop), (start, _) in zip(folds, folds[1:]):
             assert stop == start
 
 

@@ -13,6 +13,7 @@ from scipy import stats as sps
 
 from reviewtime.errors import (
     EmptyInputError,
+    LengthMismatchError,
     TooFewGroupsError,
     TooFewObservationsError,
     ZeroPooledVarianceError,
@@ -62,6 +63,11 @@ class TestWilcoxon:
 
     def test_all_zero_differences(self):
         assert wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0]) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("b", [[1.0, 2.0], [], [1.0, 2.0, 3.0, 4.0]])
+    def test_unequal_lengths_are_refused(self, b):
+        with pytest.raises(LengthMismatchError, match="equal length"):
+            wilcoxon_signed_rank([1.0, 2.0, 3.0], b)
 
     @pytest.mark.parametrize("b", [[1.0, 2.0, 3.0], [1.0, 2.0, 5.0]])
     def test_one_non_zero_difference_matches_scipy(self, b):
