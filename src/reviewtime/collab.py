@@ -21,7 +21,7 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Sequence
@@ -32,9 +32,11 @@ from .errors import ConvergenceFailureError
 from .gerrit import ChangeRecord
 
 DEFAULT_WINDOW_DAYS = 365
-# a century: any review history fits, and the window start stays a datetime
-# for every change created after the year 100
+# a century: any review history fits in it
 MAX_WINDOW_DAYS = 36_500
+# no aware datetime names an earlier instant: the offset of a tzinfo is less
+# than a day
+_EARLIEST = datetime.min.replace(tzinfo=timezone(timedelta(days=1, microseconds=-1)))
 
 # cells one block of betweenness sources may take, n + 2m per source
 BETWEENNESS_BLOCK = 1 << 17
@@ -116,12 +118,25 @@ class CollabFeatures:
     core_number: int = 0
 
 
+def window_start(as_of: datetime, window_days: int) -> datetime:
+    """The first instant of the ``window_days`` days before the aware ``as_of``;
+    a window that would reach back before ``_EARLIEST`` starts there."""
+    if window_days < as_of.toordinal():
+        return as_of - timedelta(days=window_days)
+    # the start lies before the first day of as_of's offset, so before the
+    # second UTC day, and _EARLIEST's offset names every instant up to there
+    span = as_of - _EARLIEST
+    if window_days > span.days:
+        return _EARLIEST
+    return _EARLIEST + (span - timedelta(days=window_days))
+
+
 def build_graph(history: Sequence[ChangeRecord], as_of: datetime,
                 window_days: int = DEFAULT_WINDOW_DAYS) -> InteractionGraph:
     """The empty graph grown by the changes in the window before as_of."""
-    window_start = as_of - timedelta(days=window_days)
+    start = window_start(as_of, window_days)
     return grow_graph(InteractionGraph(nodes=frozenset(), edges={}), [
-        change for change in history if window_start <= change.created_at < as_of])
+        change for change in history if start <= change.created_at < as_of])
 
 
 def grow_graph(graph: InteractionGraph,

@@ -77,10 +77,6 @@ class NonFinitePredictionError(ReviewTimeError):
 
 # --- stats ---
 
-class ZeroPooledVarianceError(ReviewTimeError):
-    pass
-
-
 class TooFewGroupsError(ReviewTimeError):
     pass
 

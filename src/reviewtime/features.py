@@ -12,7 +12,7 @@ import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -219,8 +219,12 @@ def subsystem_of(path: str) -> str:
 
 
 def extract_date_features(record: ChangeRecord) -> dict[str, float]:
-    local = record.created_at + timedelta(minutes=record.owner_tz_offset_minutes)
-    day = local.weekday()  # Monday = 0
+    created = record.created_at
+    # the owner's local weekday (Monday = 0) without a local datetime, which an
+    # offset of any size would overflow; the offset is whole minutes, so the
+    # seconds never carry into the next day
+    minutes = created.hour * 60 + created.minute + record.owner_tz_offset_minutes
+    day = (created.weekday() + minutes // 1440) % 7
     return {
         "days_of_the_weeks_of_date_created": float(day),
         "is_created_date_a_weekend": 1.0 if day >= 5 else 0.0,
@@ -496,7 +500,6 @@ def featurize(records: Sequence[ChangeRecord],
     history = sort_by_creation(records if history is None else history)
     _check_change_numbers(records, history)
     created = [change.created_at for change in history]
-    window = timedelta(days=window_days)
     prior = PriorHistory()
     added = 0
     graph, graph_start = None, -1
@@ -510,7 +513,8 @@ def featurize(records: Sequence[ChangeRecord],
             if change.closed_at is not None:
                 prior.add(change)
         added = end
-        start = bisect_left(created, record.created_at - window, 0, end)
+        start = bisect_left(created, collab.window_start(record.created_at, window_days),
+                            0, end)
         if start == graph_start:
             graph = collab.grow_graph(graph, entered)
         else:

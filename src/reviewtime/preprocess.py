@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyTrainingSetError, UnsupportedEstimatorError
-from .regressors import holdout_fit, supports_importance
+from .regressors import holdout_fit
 
 MIN_RELATIVE_IMPROVEMENT = 0.1  # forward selection's stopping margin
 
@@ -74,21 +74,20 @@ def rfe_select(estimator_spec, X: np.ndarray, y: np.ndarray,
 
     Removes the lowest-importance feature each round, scoring every
     cardinality on the chronological holdout; returns the best-scoring set
-    (ties resolved toward fewer features).
+    (ties resolved toward fewer features).  A learner whose fitted state has
+    no importance (KNN, NN) is refused after its first fit.
     """
-    if X.shape[0] == 0:
-        raise EmptyTrainingSetError("empty training set")
-    if not supports_importance(estimator_spec.algorithm):
-        raise UnsupportedEstimatorError(
-            f"{estimator_spec.algorithm.value} exposes no per-feature importance; "
-            "use sequential selection instead"
-        )
     names = list(feature_names)
     current = list(range(len(names)))
     steps: list[tuple[int, float]] = []
     best_sets: dict[int, list[int]] = {}
     while current:
         model, mae = holdout_fit(estimator_spec, X[:, np.array(current)], y)
+        if model.importance is None:
+            raise UnsupportedEstimatorError(
+                f"{estimator_spec.algorithm.value} exposes no per-feature importance; "
+                "use sequential selection instead"
+            )
         steps.append((len(current), mae))
         best_sets[len(current)] = list(current)
         if len(current) == 1:
@@ -109,8 +108,6 @@ def sequential_forward_select(estimator_spec, X: np.ndarray, y: np.ndarray,
     once every feature is chosen) selection stops.  Candidate ties go to
     canonical order.
     """
-    if X.shape[0] == 0:
-        raise EmptyTrainingSetError("empty training set")
     names = list(feature_names)
     chosen: list[int] = []
     remaining = list(range(len(names)))

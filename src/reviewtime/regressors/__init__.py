@@ -13,7 +13,6 @@ from .base import (
     grid_search,
     holdout_fit,
     is_deterministic,
-    supports_importance,
 )
 from .tree import RegressionTree
 
@@ -29,5 +28,4 @@ __all__ = [
     "grid_search",
     "holdout_fit",
     "is_deterministic",
-    "supports_importance",
 ]

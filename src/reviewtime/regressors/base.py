@@ -49,7 +49,6 @@ class Learner:
     defaults: Mapping[str, object]  # the accepted hyperparameters, with defaults
     grid: Mapping[str, list]  # the default tuning grid
     deterministic: bool = True  # no randomness: one run represents all repeats
-    importance: bool = True  # the state carries a per-feature importance
     scaled: bool = False  # min-max scaled when the pipeline asks for no normalizer
 
 
@@ -66,7 +65,7 @@ LEARNERS: dict[Algorithm, Learner] = {
                            {"C": [0.1, 1.0, 10.0], "epsilon": [0.01, 0.1]},
                            scaled=True),
     Algorithm.KNN: Learner(neighbors.fit_knn, neighbors.predict_knn, {"k": 5},
-                           {"k": [1, 3, 5, 10, 20]}, importance=False),
+                           {"k": [1, 3, 5, 10, 20]}),
     Algorithm.DT: Learner(tree.fit_decision_tree, tree.predict_decision_tree,
                           {"max_depth": None, "min_samples_leaf": 1},
                           {"max_depth": [4, 8, 16, None],
@@ -75,7 +74,7 @@ LEARNERS: dict[Algorithm, Learner] = {
                           {"hidden_units": 16, "epochs": 100, "learning_rate": 0.01,
                            "batch_size": 32},
                           {"hidden_units": [16, 64], "epochs": [100]},
-                          deterministic=False, importance=False, scaled=True),
+                          deterministic=False, scaled=True),
     Algorithm.RF: Learner(ensemble.fit_random_forest, ensemble.predict_random_forest,
                           {"n_trees": 100, "min_samples_leaf": 1},
                           {"n_trees": [100, 300]}, deterministic=False),
@@ -184,10 +183,6 @@ class TrainedModel:
         return pred
 
 
-def supports_importance(algorithm: Algorithm) -> bool:
-    return LEARNERS[Algorithm(algorithm)].importance
-
-
 def is_deterministic(algorithm: Algorithm) -> bool:
     return LEARNERS[Algorithm(algorithm)].deterministic
 
@@ -235,18 +230,14 @@ def grid_search(algorithm: Algorithm, grid: HyperGrid, X: np.ndarray,
 
     Rows are assumed chronologically sorted; each point fits on the leading
     80% and scores on the trailing 20%.  Ties keep the first point in grid
-    iteration order; points whose fit raises, or whose predictions are not
-    finite, are skipped.
+    iteration order; points whose holdout fit raises, as each one does on
+    fewer than 2 rows, or whose predictions are not finite, are skipped.
     """
     algorithm = Algorithm(algorithm)
     if grid.algorithm is not algorithm:
         raise ValueError("grid is for a different algorithm")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    try:
-        chronological_split(X.shape[0])
-    except EmptyTrainingSetError as exc:
-        raise AllPointsFailedError(f"cannot split training data: {exc}") from exc
     best: tuple[float, int, RegressorSpec] | None = None
     failures: list[str] = []
     for order, params in enumerate(grid.points()):

@@ -16,7 +16,6 @@ from .errors import (
     LengthMismatchError,
     TooFewGroupsError,
     TooFewObservationsError,
-    ZeroPooledVarianceError,
 )
 
 WILCOXON_EXACT_MAX_N = 25
@@ -206,18 +205,6 @@ def cliffs_magnitude(d: float) -> str:
     return "L"
 
 
-def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size < 2 or b.size < 2:
-        raise TooFewObservationsError("cohens_d needs >= 2 observations per group")
-    pooled_var = ((a.size - 1) * a.var(ddof=1) + (b.size - 1) * b.var(ddof=1)) \
-        / (a.size + b.size - 2)
-    if pooled_var == 0.0:
-        raise ZeroPooledVarianceError("both groups are constant")
-    return float((a.mean() - b.mean()) / math.sqrt(pooled_var))
-
-
 def _scott_knott_partition(groups: list[tuple[str, np.ndarray]]) -> list[list[tuple[str, np.ndarray]]]:
     """Recursive binary partition of mean-sorted groups.
 
@@ -268,6 +255,20 @@ def _scott_knott_partition(groups: list[tuple[str, np.ndarray]]) -> list[list[tu
     return left + right
 
 
+def _negligible(left: np.ndarray, right: np.ndarray) -> bool:
+    """Whether two clusters' pooled Cohen's |d| is below ``NEGLIGIBLE_D``.
+
+    With zero pooled variance, |d| counts as 0 when the means are equal and
+    as infinite otherwise.
+    """
+    pooled_var = ((left.size - 1) * left.var(ddof=1)
+                  + (right.size - 1) * right.var(ddof=1)) / (left.size + right.size - 2)
+    difference = float(left.mean() - right.mean())
+    if pooled_var == 0.0:
+        return difference == 0.0
+    return abs(difference / math.sqrt(pooled_var)) < NEGLIGIBLE_D
+
+
 def _merge_negligible(clusters: list[list[tuple[str, np.ndarray]]]) -> list[list[tuple[str, np.ndarray]]]:
     """Merge adjacent clusters whose pooled Cohen's |d| is negligible."""
     merged = True
@@ -276,11 +277,7 @@ def _merge_negligible(clusters: list[list[tuple[str, np.ndarray]]]) -> list[list
         for i in range(len(clusters) - 1):
             left = np.concatenate([obs for _, obs in clusters[i]])
             right = np.concatenate([obs for _, obs in clusters[i + 1]])
-            try:
-                d = abs(cohens_d(left, right))
-            except ZeroPooledVarianceError:
-                d = 0.0 if left.mean() == right.mean() else float("inf")
-            if d < NEGLIGIBLE_D:
+            if _negligible(left, right):
                 clusters[i:i + 2] = [clusters[i] + clusters[i + 1]]
                 merged = True
                 break

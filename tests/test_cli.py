@@ -916,3 +916,30 @@ def test_featurize_decodes_an_input_line_of_the_history_once(tmp_path, monkeypat
               ).to_csv(tmp_path / "apart.csv")
     assert (tmp_path / "out" / "features.csv").read_bytes() \
         == (tmp_path / "apart.csv").read_bytes()
+
+
+def featurize_through_the_cli(tmp_path, records):
+    path = tmp_path / "in.jsonl"
+    ds.write_dataset(records, path)
+    config_path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+    assert main(["featurize", "--config", str(config_path), "--in", str(path)]) == 0
+    with open(tmp_path / "out" / "features.csv", newline="", encoding="utf-8") as f:
+        return list(csv.DictReader(f))
+
+
+def test_featurize_takes_changes_from_the_year_1(tmp_path):
+    # the default 365-day window of each reaches back before the year 1
+    first = datetime(1, 1, 1, tzinfo=timezone.utc)
+    records = [make_record(i, owner=100 + i % 2, created=first + timedelta(days=i))
+               for i in range(5)]
+    rows = featurize_through_the_cli(tmp_path, records)
+    assert [int(row["change_number"]) for row in rows] == list(range(5))
+
+
+def test_featurize_takes_an_owner_offset_of_any_size(tmp_path):
+    offset = 10**10  # minutes: about 19,000 years
+    rows = featurize_through_the_cli(tmp_path, [make_record(1, tz_offset=offset)])
+    # BASE_TIME is a Monday, 10:00 UTC
+    assert float(rows[0]["days_of_the_weeks_of_date_created"]) \
+        == (10 * 60 + offset) // 1440 % 7
+    assert float(rows[0]["author_timezone"]) == offset

@@ -6,12 +6,12 @@ import math
 import tracemalloc
 from collections import deque
 from dataclasses import astuple, replace
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reviewtime import collab, features
@@ -34,24 +34,40 @@ from reviewtime.gerrit_fixture import generate_corpus
 
 import graph_oracles as oracle
 from conftest import BASE_TIME, make_message, make_record
+from test_dataset import stamps
 
 
 def graph_from_edges(edges, extra_nodes=()) -> InteractionGraph:
-    """A graph from unweighted edge pairs, counting repeated pairs as weight."""
-    weights: dict[tuple[int, int], int] = {}
+    """A graph from edge pairs, each kept once in first-occurrence order."""
+    keys: dict[tuple[int, int], None] = {}
     nodes = set(extra_nodes)
     for u, v in edges:
         key = (u, v) if u < v else (v, u)
-        weights[key] = weights.get(key, 0) + 1
+        keys[key] = None
         nodes.update(key)
-    return InteractionGraph(nodes=frozenset(nodes), edges=weights)
+    return InteractionGraph(nodes=frozenset(nodes), edges=keys)
 
 
 TRIANGLE = graph_from_edges([(1, 2), (2, 3), (1, 3)])
 STAR = graph_from_edges([(0, 1), (0, 2), (0, 3)])
 PATH3 = graph_from_edges([(1, 2), (2, 3)])
 ISOLATED = InteractionGraph(nodes=frozenset({1, 2, 9}),
-                            edges={(1, 2): 1})
+                            edges={(1, 2): None})
+
+
+class TestWindowStart:
+    @settings(max_examples=300, deadline=None)
+    @given(stamps, st.integers(0, 3) | st.integers(0, 10**12))
+    @example(datetime(1, 1, 2, 5, tzinfo=timezone(timedelta(hours=-8))), 2)
+    def test_the_window_starts_at_the_earliest_instant_at_the_latest(self, as_of,
+                                                                      window_days):
+        start = collab.window_start(as_of, window_days)
+        # instants as whole microseconds after the earliest one
+        micro = timedelta(microseconds=1)
+        position = (as_of - collab._EARLIEST) // micro - window_days * 86_400 * 10**6
+        assert (start - collab._EARLIEST) // micro == max(position, 0)
+        if window_days < as_of.toordinal():
+            assert start == as_of - timedelta(days=window_days)
 
 
 class TestBuildGraph:
@@ -379,7 +395,7 @@ def reference_build_graph(history, as_of, window_days=collab.DEFAULT_WINDOW_DAYS
     neighbour sets, because betweenness sums its floats in that order.
     """
     window_start = as_of - timedelta(days=window_days)
-    weights: dict[tuple[int, int], int] = {}
+    keys: dict[tuple[int, int], None] = {}
     nodes: set[int] = set()
     for change in history:
         if not (window_start <= change.created_at < as_of):
@@ -389,9 +405,9 @@ def reference_build_graph(history, as_of, window_days=collab.DEFAULT_WINDOW_DAYS
                         if m.author_id != owner and not m.from_bot}
         for participant in participants:
             key = (owner, participant) if owner < participant else (participant, owner)
-            weights[key] = weights.get(key, 0) + 1
+            keys[key] = None
             nodes.update(key)
-    return InteractionGraph(nodes=frozenset(nodes), edges=weights)
+    return InteractionGraph(nodes=frozenset(nodes), edges=keys)
 
 
 def colliding_histories(seed):

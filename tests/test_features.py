@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-from datetime import timedelta
+import tempfile
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reviewtime import collab
-from reviewtime.dataset import sort_by_creation, write_table
+from reviewtime.dataset import read_dataset, sort_by_creation, write_dataset, write_table
 from reviewtime.errors import EmptyInputError, SchemaError
 from reviewtime.features import (
     FEATURE_DIMENSIONS,
@@ -39,6 +41,7 @@ from reviewtime.gerrit import (
 from reviewtime.gerrit_fixture import generate_corpus
 
 from conftest import BASE_TIME, make_record
+from test_dataset import stamps
 
 EMPTY_GRAPH = collab.build_graph([], as_of=BASE_TIME)
 
@@ -80,6 +83,28 @@ class TestDateFeatures:
         values = extract_date_features(record)
         assert values["days_of_the_weeks_of_date_created"] == 6
         assert values["is_created_date_a_weekend"] == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(stamps, st.integers(-10**12, 10**12)), min_size=1,
+                    max_size=3))
+    def test_any_stamp_and_offset_featurize(self, drawn):
+        # from the year 1, whose windows reach back before it, to the year 9999
+        records = [make_record(i, created=created, duration_hours=1.0, tz_offset=offset)
+                   for i, (created, offset) in enumerate(drawn)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.jsonl"
+            write_dataset(records, path)
+            records, _ = read_dataset(path)
+        matrix = featurize(records)
+        column = matrix.X[:, FEATURE_NAMES.index("days_of_the_weeks_of_date_created")]
+        by_number = {r.number: r for r in records}
+        for number, day in zip(matrix.change_numbers.tolist(), column.tolist()):
+            record = by_number[number]
+            try:
+                local = record.created_at + timedelta(minutes=record.owner_tz_offset_minutes)
+            except OverflowError:
+                continue
+            assert day == local.weekday()
 
 
 class TestChangeEntropy:
@@ -451,6 +476,15 @@ class TestSweep:
                  if start != before]
         assert rebuilt == moved
         assert len(moved) < len(scored)
+
+    def test_a_window_reaching_before_the_year_1_starts_there(self):
+        # a century's window of changes from the year 50 covers the history as
+        # a year's does
+        first = datetime(50, 1, 1, tzinfo=timezone.utc)
+        history = [make_record(i, owner=100 + i % 2, created=first + timedelta(days=i))
+                   for i in range(1, 4)]
+        assert featurize(history, window_days=36500).X.tobytes() \
+            == featurize(history, window_days=365).X.tobytes()
 
     def test_change_twice_in_history_is_rejected(self):
         history = [make_record(i, created=BASE_TIME + timedelta(days=i))

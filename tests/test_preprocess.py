@@ -7,7 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reviewtime.errors import EmptyTrainingSetError, UnsupportedEstimatorError
+from reviewtime.errors import (
+    AllPointsFailedError,
+    EmptyTrainingSetError,
+    UnsupportedEstimatorError,
+)
 from reviewtime.preprocess import (
     NormalizerKind,
     apply_normalizer,
@@ -15,7 +19,14 @@ from reviewtime.preprocess import (
     rfe_select,
     sequential_forward_select,
 )
-from reviewtime.regressors import LEARNERS, Algorithm, RegressorSpec, chronological_split
+from reviewtime.regressors import (
+    LEARNERS,
+    Algorithm,
+    HyperGrid,
+    RegressorSpec,
+    chronological_split,
+    grid_search,
+)
 
 
 class TestNormalizer:
@@ -91,6 +102,14 @@ class TestRfeSelect:
         with pytest.raises(UnsupportedEstimatorError):
             rfe_select(RegressorSpec(Algorithm.KNN), X, y, names)
 
+    @pytest.mark.parametrize("algorithm", [Algorithm.KNN, Algorithm.NN])
+    def test_a_fit_without_importance_is_refused(self, algorithm):
+        X, y, names = planted_signal(n=30)
+        message = (f"^{algorithm.value} exposes no per-feature importance; "
+                   "use sequential selection instead$")
+        with pytest.raises(UnsupportedEstimatorError, match=message):
+            rfe_select(RegressorSpec(algorithm), X, y, names)
+
     def test_scores_cover_all_cardinalities(self):
         X, y, names = planted_signal(p=4)
         result = rfe_select(RegressorSpec(Algorithm.LR), X, y, names)
@@ -143,3 +162,15 @@ class TestChronologicalSplit:
     def test_too_small(self):
         with pytest.raises(EmptyTrainingSetError):
             chronological_split(1)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_fewer_than_two_rows_keep_their_exception_types(n):
+    # the holdout split alone refuses them, for selection and grid search alike
+    X, y, names = planted_signal(n=n, p=3)
+    for select in (rfe_select, sequential_forward_select):
+        with pytest.raises(EmptyTrainingSetError):
+            select(RegressorSpec(Algorithm.LR), X, y, names)
+    grid = HyperGrid(Algorithm.RR, {"alpha": [0.1, 1.0]})
+    with pytest.raises(AllPointsFailedError, match="every grid point failed for RR"):
+        grid_search(Algorithm.RR, grid, X, y)

@@ -19,7 +19,6 @@ from reviewtime.regressors import (
     fit,
     grid_search,
     is_deterministic,
-    supports_importance,
 )
 from reviewtime.regressors.mlp import init_params, loss_and_gradients
 from reviewtime.regressors.tree import _GAIN_EPS, RegressionTree
@@ -51,10 +50,11 @@ class TestSpecValidation:
         assert spec.hyperparameters["learning_rate"] == 0.1
 
     def test_importance_support_map(self):
-        assert supports_importance(Algorithm.LR)
-        assert supports_importance(Algorithm.GB)
-        assert not supports_importance(Algorithm.KNN)
-        assert not supports_importance(Algorithm.NN)
+        X, y, _ = linear_data(0, n=20, p=3)
+        for algorithm, supported in [(Algorithm.LR, True), (Algorithm.GB, True),
+                                     (Algorithm.KNN, False), (Algorithm.NN, False)]:
+            model = fit(RegressorSpec(algorithm), X, y)
+            assert (model.importance is not None) == supported, algorithm
 
     def test_grid_unknown_param(self):
         with pytest.raises(ValueError):
@@ -469,8 +469,6 @@ class TestLearnerTable:
                 RegressorSpec(algorithm, point)
             first, second = (fit(RegressorSpec(algorithm, seed=seed), X, y)
                              for seed in (1, 2))
-            assert supports_importance(algorithm) == \
-                (first.importance is not None), algorithm
             # a wrong flag would copy one repeat of a stochastic learner
             same = np.array_equal(first.predict(X), second.predict(X))
             assert is_deterministic(algorithm) == same, algorithm

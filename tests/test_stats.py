@@ -16,13 +16,12 @@ from reviewtime.errors import (
     LengthMismatchError,
     TooFewGroupsError,
     TooFewObservationsError,
-    ZeroPooledVarianceError,
 )
 from reviewtime.stats import (
+    _negligible,
     bonferroni,
     chi2_ppf,
     cliffs_delta,
-    cohens_d,
     compare_pairwise,
     rankdata,
     scott_knott_esd,
@@ -232,20 +231,19 @@ class TestCliffsDelta:
         assert d1 == pytest.approx(d2)
 
 
-class TestCohensD:
+class TestNegligible:
     def test_identical_groups(self):
-        assert cohens_d([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-
-    def test_degenerate(self):
-        with pytest.raises(ZeroPooledVarianceError):
-            cohens_d([0.0, 0.0], [1.0, 1.0])
+        assert _negligible(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
 
     def test_hand_example(self):
-        assert cohens_d([2.0, 4.0, 6.0], [1.0, 3.0, 5.0]) == pytest.approx(0.5)
+        # pooled variance 4, so d = (4 - 3) / 2 = 0.5
+        assert not _negligible(np.array([2.0, 4.0, 6.0]), np.array([1.0, 3.0, 5.0]))
 
-    def test_too_few(self):
-        with pytest.raises(TooFewObservationsError):
-            cohens_d([1.0], [1.0, 2.0])
+    def test_constant_groups_with_equal_means(self):
+        assert _negligible(np.array([1.0, 1.0, 1.0]), np.array([1.0, 1.0, 1.0]))
+
+    def test_constant_groups_with_unequal_means(self):
+        assert not _negligible(np.array([0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0]))
 
 
 class TestScottKnottEsd:
