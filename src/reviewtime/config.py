@@ -31,7 +31,6 @@ class RunConfig:
     pipelines: tuple[PipelineConfig, ...]
     window_days: int
     out_dir: Path
-    seed: int
 
 
 _TOP_KEYS = {"crawl", "filter", "keywords", "features", "evaluation", "out_dir", "seed"}
@@ -130,7 +129,6 @@ def _run_config(doc: dict, seed_override: int | None,
                                  section.get("window_days", DEFAULT_WINDOW_DAYS),
                                  "window_days", 1, MAX_WINDOW_DAYS)),
         out_dir=Path(out_override or doc.get("out_dir", "runs/out")),
-        seed=seed,
     )
 
 

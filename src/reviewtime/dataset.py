@@ -123,10 +123,15 @@ _TIMESTAMP = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}"
 
 def format_timestamp(dt: datetime | None) -> str | None:
     """UTC ``YYYY-MM-DDTHH:MM:SS.ffffffZ``, the one shape the files hold, with
-    the year zero-padded to four digits (glibc's ``%Y`` writes 999 as ``999``)."""
+    the year zero-padded to four digits (glibc's ``%Y`` writes 999 as ``999``).  A
+    time whose UTC instant falls outside the years 1 to 9999 is a SchemaError."""
     if dt is None:
         return None
-    utc = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    try:
+        utc = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    except OverflowError as exc:
+        raise SchemaError(f"the time {dt.isoformat()} falls outside the years "
+                          "1 to 9999 in UTC") from exc
     return utc.isoformat(timespec="microseconds") + "Z"
 
 
@@ -181,9 +186,10 @@ def read_table(path: str | Path, header: Sequence[str],
                parse: Callable[[list[str]], object]) -> tuple[list[str], list]:
     """The header and the rows, each through ``parse``, of a table :func:`write_table`
     wrote.  Bytes that are not UTF-8, a header other than ``header`` (whose last
-    column may be ``"..."``, for any further columns), a row of a width other than
-    the header's, and a row ``parse`` rejects (ValueError, TypeError or KeyError)
-    are each a SchemaError naming the file and the line."""
+    column may be ``"..."``, for any further columns), a header that names a column
+    twice, a row of a width other than the header's, and a row ``parse`` rejects
+    (ValueError, TypeError or KeyError) are each a SchemaError naming the file and
+    the line."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -198,6 +204,9 @@ def read_table(path: str | Path, header: Sequence[str],
     if found != expected:
         raise SchemaError(f"{path} line 1: expected the header {','.join(header)}, "
                           f"got {','.join(found)}")
+    repeated = next((name for i, name in enumerate(found) if name in found[:i]), None)
+    if repeated is not None:
+        raise SchemaError(f"{path} line 1: the header names {repeated!r} twice")
     rows = []
     for row in reader:
         try:

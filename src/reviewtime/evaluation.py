@@ -226,22 +226,19 @@ def _fit_iteration(data: FeatureMatrix, config: PipelineConfig, iteration: int,
     X_train = apply_normalizer(norm, X_train)
     X_test = apply_normalizer(norm, X_test)
 
-    names = list(data.feature_names)
     spec = (config.spec or RegressorSpec(config.algorithm)).with_seed(seed)
     if config.selection != "none":
         select = rfe_select if config.selection == "rfe" else sequential_forward_select
-        chosen = select(spec, X_train, y_train, names).selected
-        cols = [names.index(c) for c in chosen]
+        cols = select(spec, X_train, y_train).selected
         X_train = X_train[:, cols]
         X_test = X_test[:, cols]
-        names = list(chosen)
 
     if config.spec is None:
         grid = config.grid if config.grid is not None \
             else HyperGrid.default(config.algorithm)
         spec = grid_search(config.algorithm, grid, X_train, y_train, seed)
 
-    model = fit(spec, X_train, y_train, names)
+    model = fit(spec, X_train, y_train)
     pred = model.predict(X_test)
     iteration_sa = sa(pred, y_test, y_train,
                       seed=_sa_seed(config.base_seed, iteration))

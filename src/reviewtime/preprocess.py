@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +40,7 @@ class NormalizerSpec:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    selected: tuple[str, ...]
+    selected: tuple[int, ...]  # the kept column indices, ascending
     scores: tuple[tuple[int, float], ...]  # (cardinality, validation MAE) per step
 
     def __post_init__(self):
@@ -68,8 +67,7 @@ def apply_normalizer(spec: NormalizerSpec, X: np.ndarray) -> np.ndarray:
     return np.where(spec.scale == 0, 0.0, (X - spec.shift) / scale)
 
 
-def rfe_select(estimator_spec, X: np.ndarray, y: np.ndarray,
-               feature_names: Sequence[str]) -> SelectionResult:
+def rfe_select(estimator_spec, X: np.ndarray, y: np.ndarray) -> SelectionResult:
     """Recursive feature elimination driven by model importance.
 
     Removes the lowest-importance feature each round, scoring every
@@ -77,10 +75,9 @@ def rfe_select(estimator_spec, X: np.ndarray, y: np.ndarray,
     (ties resolved toward fewer features).  A learner whose fitted state has
     no importance (KNN, NN) is refused after its first fit.
     """
-    names = list(feature_names)
-    current = list(range(len(names)))
+    current = list(range(X.shape[1]))
     steps: list[tuple[int, float]] = []
-    best_sets: dict[int, list[int]] = {}
+    best_sets: dict[int, tuple[int, ...]] = {}
     while current:
         model, mae = holdout_fit(estimator_spec, X[:, np.array(current)], y)
         if model.importance is None:
@@ -89,17 +86,16 @@ def rfe_select(estimator_spec, X: np.ndarray, y: np.ndarray,
                 "use sequential selection instead"
             )
         steps.append((len(current), mae))
-        best_sets[len(current)] = list(current)
+        best_sets[len(current)] = tuple(current)
         if len(current) == 1:
             break
         current.pop(int(np.argmin(model.importance)))
     best_n, _ = min(steps, key=lambda s: (s[1], s[0]))
-    selected = tuple(names[i] for i in best_sets[best_n])
-    return SelectionResult(selected=selected, scores=tuple(steps))
+    return SelectionResult(selected=best_sets[best_n], scores=tuple(steps))
 
 
-def sequential_forward_select(estimator_spec, X: np.ndarray, y: np.ndarray,
-                              feature_names: Sequence[str]) -> SelectionResult:
+def sequential_forward_select(estimator_spec, X: np.ndarray,
+                              y: np.ndarray) -> SelectionResult:
     """Greedy forward selection on chronological-holdout MAE.
 
     Picking the best of many candidates is biased toward spurious holdout
@@ -108,9 +104,8 @@ def sequential_forward_select(estimator_spec, X: np.ndarray, y: np.ndarray,
     once every feature is chosen) selection stops.  Candidate ties go to
     canonical order.
     """
-    names = list(feature_names)
     chosen: list[int] = []
-    remaining = list(range(len(names)))
+    remaining = list(range(X.shape[1]))
     best_mae = np.inf
     steps: list[tuple[int, float]] = []
     while remaining:
@@ -125,5 +120,4 @@ def sequential_forward_select(estimator_spec, X: np.ndarray, y: np.ndarray,
         chosen.append(j)
         remaining.remove(j)
         steps.append((len(chosen), mae))
-    selected = tuple(names[i] for i in sorted(chosen))
-    return SelectionResult(selected=selected, scores=tuple(steps))
+    return SelectionResult(selected=tuple(sorted(chosen)), scores=tuple(steps))

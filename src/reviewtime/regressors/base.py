@@ -11,7 +11,7 @@ import itertools
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -151,25 +151,24 @@ class HyperGrid:
 
 
 class TrainedModel:
-    """A fitted predictor with the feature ordering used at fit time.
+    """A fitted predictor with the column count it was fitted on.
 
     ``state`` is the plain fitted state its algorithm's predictor reads; the
     optional ``importance`` and ``flags`` entries are exposed as attributes.
     """
 
-    def __init__(self, spec: RegressorSpec, feature_names: Sequence[str],
-                 state: Mapping):
+    def __init__(self, spec: RegressorSpec, n_features: int, state: Mapping):
         self.spec = spec
-        self.feature_names = tuple(feature_names)
+        self.n_features = n_features
         self.state = dict(state)
         self.importance: np.ndarray | None = self.state.get("importance")
         self.flags: tuple[str, ...] = tuple(self.state.get("flags", ()))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != len(self.feature_names):
+        if X.ndim != 2 or X.shape[1] != self.n_features:
             raise FeatureMismatchError(
-                f"expected {len(self.feature_names)} features, got "
+                f"expected {self.n_features} features, got "
                 f"{X.shape[1] if X.ndim == 2 else 'non-matrix input'}"
             )
         pred = np.asarray(LEARNERS[self.spec.algorithm].predict(self.state, X),
@@ -187,8 +186,7 @@ def is_deterministic(algorithm: Algorithm) -> bool:
     return LEARNERS[Algorithm(algorithm)].deterministic
 
 
-def fit(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
-        feature_names: Sequence[str] | None = None) -> TrainedModel:
+def fit(spec: RegressorSpec, X: np.ndarray, y: np.ndarray) -> TrainedModel:
     """Check the training inputs, then fit ``spec``'s learner on them."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -200,10 +198,7 @@ def fit(spec: RegressorSpec, X: np.ndarray, y: np.ndarray,
         raise EmptyTrainingSetError("need at least 2 training rows")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("training data must be finite")
-    if feature_names is None:
-        feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
-    return TrainedModel(spec, feature_names,
-                        LEARNERS[spec.algorithm].fit(spec, X, y))
+    return TrainedModel(spec, X.shape[1], LEARNERS[spec.algorithm].fit(spec, X, y))
 
 
 def chronological_split(n: int) -> tuple[slice, slice]:

@@ -109,7 +109,7 @@ class TestConfig:
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path / "c.json")
         config = load_run_config(path, seed_override=99)
-        assert config.seed == 99
+        assert [p.base_seed for p in config.pipelines] == [99, 99]
 
     def test_config_exit_code(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -792,6 +792,16 @@ class TestMalformedInput:
                      "--features", str(path)]) == 1
         err = capsys.readouterr().err
         assert "SchemaError" in err and f"{path} line 6" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "ablate", "rank"])
+    def test_a_feature_named_twice_names_the_header(self, tmp_path, capsys, command):
+        path = tmp_path / "features.csv"
+        synthetic_matrix(n=60, names=["a", "b", "a"]).to_csv(path)
+        config_path = write_config(tmp_path / "c.json", out_dir=str(tmp_path / "out"))
+        assert main([command, "--config", str(config_path),
+                     "--features", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "SchemaError" in err and f"{path} line 1" in err and "'a' twice" in err
 
     @pytest.mark.parametrize("edit", [lambda cells: cells + ["extra"],
                                       lambda cells: cells[:-1]],

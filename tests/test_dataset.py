@@ -265,6 +265,15 @@ class TestTimestamps:
         assert ds.format_timestamp(stamp) == text
         assert ds.parse_timestamp(text) == stamp
 
+    @pytest.mark.parametrize("stamp", [
+        datetime(1, 1, 1, 2, tzinfo=timezone(timedelta(hours=5))),
+        datetime(9999, 12, 31, 22, tzinfo=timezone(timedelta(hours=-5))),
+    ], ids=["before-year-1", "after-year-9999"])
+    def test_a_utc_instant_outside_the_four_digit_years_is_refused(self, stamp):
+        message = f"^the time {re.escape(stamp.isoformat())} falls outside the years"
+        with pytest.raises(SchemaError, match=message):
+            ds.format_timestamp(stamp)
+
     def test_a_year_of_four_digits_is_written_as_strftime_writes_it(self):
         stamp = datetime(1000, 1, 1, tzinfo=timezone(timedelta(hours=-8)))
         assert ds.format_timestamp(stamp) == stamp.astimezone(timezone.utc).strftime(

@@ -26,7 +26,11 @@ from reviewtime.evaluation import (
     run_online_validation,
     sa,
 )
-from reviewtime.preprocess import NormalizerKind
+from reviewtime.preprocess import (
+    NormalizerKind,
+    rfe_select,
+    sequential_forward_select,
+)
 from reviewtime.regressors import (
     LEARNERS,
     Algorithm,
@@ -199,11 +203,11 @@ class TestOnlineValidation:
         real_fit = evaluation.fit
         calls = []
 
-        def failing_fit(spec, X, y, names):
+        def failing_fit(spec, X, y):
             calls.append(len(y))
             if len(calls) == 2:
                 raise RuntimeError("injected failure")
-            return real_fit(spec, X, y, names)
+            return real_fit(spec, X, y)
 
         monkeypatch.setattr(evaluation, "fit", failing_fit)
         config = PipelineConfig(Algorithm.DT, spec=RegressorSpec(Algorithm.DT),
@@ -288,6 +292,31 @@ class TestOnlineValidation:
                                 selection="rfe", repeats=1)
         result = run_online_validation(data, config)
         assert result.failures == 0
+
+    @pytest.mark.parametrize("selection, select", [
+        ("rfe", rfe_select), ("sequential", sequential_forward_select)])
+    def test_final_fit_sees_exactly_the_selected_columns(self, monkeypatch,
+                                                         selection, select):
+        real_fit = evaluation.fit
+        seen = []
+
+        def recording_fit(spec, X, y):
+            seen.append((X, y))
+            return real_fit(spec, X, y)
+
+        monkeypatch.setattr(evaluation, "fit", recording_fit)
+        data = synthetic_matrix(n=60, n_features=8)
+        spec = RegressorSpec(Algorithm.LR)
+        config = PipelineConfig(Algorithm.LR, spec=spec, selection=selection,
+                                repeats=1)
+        assert run_online_validation(data, config).failures == 0
+        assert len(seen) == N_ITERATIONS
+        for X, y in seen:
+            X_train, y_train = data.X[:len(y)], data.y[:len(y)]
+            cols = select(spec, X_train, y_train).selected
+            np.testing.assert_array_equal(y, y_train)
+            np.testing.assert_array_equal(X, X_train[:, cols])
+        assert any(X.shape[1] < data.X.shape[1] for X, _ in seen)
 
     def test_normalizer_enforced_for_nn(self):
         data = synthetic_matrix(n=60, n_features=5)

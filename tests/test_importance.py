@@ -85,11 +85,11 @@ class TestLocoImportance:
         real_fit = evaluation.fit
         calls = []
 
-        def failing_fit(spec, X, y, names):
-            calls.append(len(names))
+        def failing_fit(spec, X, y):
+            calls.append(X.shape[1])
             if len(calls) == 7:
                 raise RuntimeError("injected failure")
-            return real_fit(spec, X, y, names)
+            return real_fit(spec, X, y)
 
         monkeypatch.setattr(evaluation, "fit", failing_fit)
         with pytest.raises(ReviewTimeError, match=r"\(0, 2\).*injected failure"):
